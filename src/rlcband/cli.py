@@ -12,6 +12,7 @@ error, 4 enclosure failure.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .circuit import (
     step_response_band,
     write_band_csv,
 )
-from .errors import DomainError, IntervalError, ConfigError, TraceError
+from .errors import ConfigError, DomainError, DomainViolationError, IntervalError, TraceError
 from .interval import Interval
 from .metrics import (
     identify,
@@ -57,6 +58,8 @@ def _parse_interval_flag(text: str, name: str) -> Interval:
 
 
 def _band_from_args(args):
+    if not (math.isfinite(args.t_end_mult) and args.t_end_mult > 0.0):
+        raise ConfigError(f"--t-end-mult must be positive and finite, got {args.t_end_mult}")
     spec = load_circuit_spec(args.config)
     params = derive_params(spec)
     grid = default_time_grid(params, points=args.grid_points, t_end_mult=args.t_end_mult)
@@ -104,7 +107,11 @@ def _metrics_rows(params, band, trace_specs, trace_params, digits):
 
     specs = specs_from_params(params)
     mp_band = overshoot_from_band(band)
-    xi_band = xi_from_overshoot(mp_band)
+    try:
+        xi_band = xi_from_overshoot(mp_band).render(p)
+    except DomainViolationError:
+        # a wide box: the band's overshoot reaches 0 or 1, so xi is not defined
+        xi_band = f"none: Mp {mp_band.render(p)} not in (0, 1)"
     nominal = specs_from_params(_nominal_view(params))
     rows = []
     rows.append(("Mp", _fmt(nominal.mp.midpoint(), p), cell("mp", trace_specs),
@@ -120,7 +127,7 @@ def _metrics_rows(params, band, trace_specs, trace_params, digits):
     dyn.append(("xi", _fmt(params.xi_nominal, p),
                 _fmt(trace_params.xi_nominal, p) if trace_params else blank,
                 params.xi.render(p), "components"))
-    dyn.append(("xi", blank, blank, xi_band.render(p), "band-inverted"))
+    dyn.append(("xi", blank, blank, xi_band, "band-inverted"))
     dyn.append(("wd", _fmt(params.omegad_nominal, p),
                 _fmt(trace_params.omegad_nominal, p) if trace_params else blank,
                 params.omegad.render(p), "components"))
@@ -134,10 +141,9 @@ def _print_table(title, rows):
     print(title)
     header = ("quantity", "nominal", "trace", "interval", "pipeline")
     widths = [10, 14, 14, 30, 14]
-    line = "  " + "".join(f"{h:<{w}}" for h, w in zip(header, widths))
-    print(line)
-    for row in rows:
-        print("  " + "".join(f"{c:<{w}}" for c, w in zip(row, widths)))
+    for row in (header, *rows):
+        # a cell that fills its column still gets one space after it
+        print("  " + "".join(f"{c:<{w - 1}} " for c, w in zip(row, widths)))
 
 
 def _cmd_metrics(args) -> int:

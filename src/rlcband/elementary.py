@@ -10,9 +10,15 @@ sin and cos return exact range enclosures: the result is pinned to +/-1
 whenever a maximiser/minimiser may lie inside the argument interval,
 decided against a rigorous two-endpoint enclosure of pi, and clamped to
 [-1, 1].
+
+``iexp_array``, ``icos_array`` and ``isin_array`` apply the same policy to
+intervals given as lo/hi float64 arrays, with numpy's exp and cos in place
+of libm (their faithfulness is checked against mpmath in the test suite).
 """
 
 import math
+
+import numpy as np
 
 from .errors import (
     DomainViolationError,
@@ -22,7 +28,18 @@ from .errors import (
     PrecisionLossError,
 )
 from .interval import Interval
-from .rounding import mul_down, mul_up, next_down, next_up, sqrt_down, sqrt_up
+from .rounding import (
+    add_down_array,
+    add_up_array,
+    mul_down,
+    mul_down_array,
+    mul_up,
+    mul_up_array,
+    next_down,
+    next_up,
+    sqrt_down,
+    sqrt_up,
+)
 
 # math.pi is the nearest double below the true pi, so [pi, nextafter(pi)]
 # is a rigorous enclosure.
@@ -40,6 +57,21 @@ def _down2(x: float) -> float:
 
 def _up2(x: float) -> float:
     return next_up(next_up(x))
+
+
+def _down2_array(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, -np.inf), -np.inf)
+
+
+def _up2_array(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, np.inf), np.inf)
+
+
+def _check_trig_range(magnitude: float, x) -> None:
+    if magnitude > _MAX_TRIG_ARG:
+        raise PrecisionLossError(
+            f"trig argument beyond 2**52 rad loses all reduction precision: {x}"
+        )
 
 
 def iexp(x: Interval) -> Interval:
@@ -78,10 +110,7 @@ def _pi_multiple(k: int):
 
 def icos(x: Interval) -> Interval:
     """Exact range enclosure of cos over x, clamped to [-1, 1]."""
-    if max(abs(x.lo), abs(x.hi)) > _MAX_TRIG_ARG:
-        raise PrecisionLossError(
-            f"trig argument beyond 2**52 rad loses all reduction precision: {x}"
-        )
+    _check_trig_range(max(abs(x.lo), abs(x.hi)), x)
     if x.hi - x.lo >= TWO_PI.hi:
         return Interval(-1.0, 1.0)
     # cos attains +1 at even multiples of pi and -1 at odd multiples.  Pin an
@@ -106,11 +135,63 @@ def icos(x: Interval) -> Interval:
 
 def isin(x: Interval) -> Interval:
     """Exact range enclosure of sin over x, via sin(x) = cos(x - pi/2)."""
-    if max(abs(x.lo), abs(x.hi)) > _MAX_TRIG_ARG:
-        raise PrecisionLossError(
-            f"trig argument beyond 2**52 rad loses all reduction precision: {x}"
-        )
+    _check_trig_range(max(abs(x.lo), abs(x.hi)), x)
     return icos(x - HALF_PI)
+
+
+def iexp_array(lo: np.ndarray, hi: np.ndarray):
+    """Elementwise ``iexp`` of the intervals [lo, hi]; returns (lo, hi)."""
+    with np.errstate(over="ignore"):
+        e_hi = _up2_array(np.exp(hi))
+    if np.isinf(e_hi).any():
+        raise IntervalOverflowError("exp overflow on an array argument")
+    return np.maximum(0.0, _down2_array(np.exp(lo))), e_hi
+
+
+# An argument narrower than 2*pi meets at most 5 multiples of pi from
+# floor(lo/pi) - 1 on; one more covers rounding in the division.
+_PI_CANDIDATES = 6
+
+
+def icos_array(lo: np.ndarray, hi: np.ndarray):
+    """Elementwise ``icos`` of the intervals [lo, hi]; returns (lo, hi)."""
+    magnitude = max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0))
+    _check_trig_range(magnitude, "an array argument")
+    out_lo = np.full(lo.shape, -1.0)
+    out_hi = np.full(lo.shape, 1.0)
+    # Arguments at least a period wide keep [-1, 1]; the rest are narrower
+    # than 2*pi.
+    part = np.flatnonzero(hi - lo < TWO_PI.hi)
+    lo = lo[part]
+    hi = hi[part]
+    has_max = np.zeros(part.size, dtype=bool)
+    has_min = np.zeros(part.size, dtype=bool)
+    k_first = np.floor(lo / math.pi) - 1.0
+    for j in range(_PI_CANDIDATES):
+        k = k_first + j
+        # k*pi enclosed as in _pi_multiple: the sign of k picks the endpoints.
+        m_lo = mul_down_array(k, np.where(k >= 0.0, PI.lo, PI.hi))
+        m_hi = mul_up_array(k, np.where(k >= 0.0, PI.hi, PI.lo))
+        hit = (m_lo <= hi) & (m_hi >= lo)
+        even = np.fmod(k, 2.0) == 0.0
+        has_max |= hit & even
+        has_min |= hit & ~even
+    c_lo = np.cos(lo)
+    c_hi = np.cos(hi)
+    out_lo[part] = np.where(
+        has_min, -1.0, np.maximum(-1.0, _down2_array(np.minimum(c_lo, c_hi)))
+    )
+    out_hi[part] = np.where(
+        has_max, 1.0, np.minimum(1.0, _up2_array(np.maximum(c_lo, c_hi)))
+    )
+    return out_lo, out_hi
+
+
+def isin_array(lo: np.ndarray, hi: np.ndarray):
+    """Elementwise ``isin`` of the intervals [lo, hi], via cos(x - pi/2)."""
+    magnitude = max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0))
+    _check_trig_range(magnitude, "an array argument")
+    return icos_array(add_down_array(lo, -HALF_PI.hi), add_up_array(hi, -HALF_PI.lo))
 
 
 def iacos(x: Interval) -> Interval:

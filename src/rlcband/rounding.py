@@ -16,11 +16,20 @@ Two facts make this rigorous:
 
 The product error term is unreliable when the product underflows to the
 subnormal range or the Dekker split overflows; both cases are treated as
-inexact, which only ever widens the interval.
+inexact, which only ever widens the interval.  A product or quotient that
+underflows to 0 keeps the sign of its operands, so it never steps across 0
+on the side that sign rules out.
+
+The EFTs and the step decisions use operators only, so they broadcast over
+numpy arrays unchanged.  The scalar ops serve ``Interval``; the ``*_array``
+ops evaluate many endpoints at once (in the style of Rump's rounding-mode-free
+vector interval arithmetic) with ``np.nextafter`` for the outward step.
 """
 
 import math
 import sys
+
+import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant for binary64
 _MIN_NORMAL = sys.float_info.min
@@ -80,29 +89,45 @@ def sub_up(a: float, b: float) -> float:
     return add_up(a, -b)
 
 
-def _product_unreliable(a: float, b: float, p: float, e: float) -> bool:
+def _product_unreliable(a, b, p, e):
     # NaN error term: the Dekker split overflowed.  Product in or below the
     # subnormal range with nonzero factors: the error term may itself have
     # been rounded, so the exactness test cannot be trusted.
-    return e != e or (abs(p) < _MIN_NORMAL and a != 0.0 and b != 0.0)
+    return (e != e) | ((abs(p) < _MIN_NORMAL) & (a != 0.0) & (b != 0.0))
+
+
+def _blind_step(r, a, b, up):
+    """Whether r, a rounded product or quotient of a and b whose error sign
+    is unknown, must step one ulp down (``up`` false) or up.
+
+    It must, unless r underflowed to 0: the exact result is nonzero with the
+    sign of a*b, so 0 already bounds it on the side that sign rules out.
+    """
+    return (r != 0.0) | (((a < 0.0) != (b < 0.0)) != up)
+
+
+def _mul_step(a, b, p, e, up):
+    """Whether p = fl(a*b), with two_product error e, must step one ulp down
+    (``up`` false) or up to bound the exact product."""
+    known = (e > 0.0) if up else (e < 0.0)
+    # A nonzero e is a true error only for a normal product.
+    return (known & (abs(p) >= _MIN_NORMAL)) | (
+        _product_unreliable(a, b, p, e) & _blind_step(p, a, b, up)
+    )
 
 
 def mul_down(a: float, b: float) -> float:
     p, e = two_product(a, b)
-    if math.isinf(p):
+    if math.isinf(p) or not _mul_step(a, b, p, e, False):
         return p
-    if _product_unreliable(a, b, p, e) or e < 0.0:
-        return next_down(p)
-    return p
+    return next_down(p)
 
 
 def mul_up(a: float, b: float) -> float:
     p, e = two_product(a, b)
-    if math.isinf(p):
+    if math.isinf(p) or not _mul_step(a, b, p, e, True):
         return p
-    if _product_unreliable(a, b, p, e) or e > 0.0:
-        return next_up(p)
-    return p
+    return next_up(p)
 
 
 def _div_is_exact(q: float, b: float, a: float) -> bool:
@@ -112,14 +137,14 @@ def _div_is_exact(q: float, b: float, a: float) -> bool:
 
 def div_down(a: float, b: float) -> float:
     q = a / b
-    if math.isinf(q) or _div_is_exact(q, b, a):
+    if math.isinf(q) or _div_is_exact(q, b, a) or not _blind_step(q, a, b, False):
         return q
     return next_down(q)
 
 
 def div_up(a: float, b: float) -> float:
     q = a / b
-    if math.isinf(q) or _div_is_exact(q, b, a):
+    if math.isinf(q) or _div_is_exact(q, b, a) or not _blind_step(q, a, b, True):
         return q
     return next_up(q)
 
@@ -141,3 +166,28 @@ def sqrt_up(x: float) -> float:
     if _sqrt_is_exact(r, x):
         return r
     return next_up(r)
+
+
+# --- array endpoints: elementwise, same decisions as the scalar ops ---
+# An infinite product steps to the largest finite double or stays infinite,
+# which still bounds it; overflow is the caller's check.
+
+
+def add_down_array(a, b) -> np.ndarray:
+    s, e = two_sum(a, b)
+    return np.where(e < 0.0, np.nextafter(s, -np.inf), s)
+
+
+def add_up_array(a, b) -> np.ndarray:
+    s, e = two_sum(a, b)
+    return np.where(e > 0.0, np.nextafter(s, np.inf), s)
+
+
+def mul_down_array(a, b) -> np.ndarray:
+    p, e = two_product(a, b)
+    return np.where(_mul_step(a, b, p, e, False), np.nextafter(p, -np.inf), p)
+
+
+def mul_up_array(a, b) -> np.ndarray:
+    p, e = two_product(a, b)
+    return np.where(_mul_step(a, b, p, e, True), np.nextafter(p, np.inf), p)

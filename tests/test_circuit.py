@@ -5,6 +5,7 @@ corner enumeration of the monotone parameter formulas over the component
 box, and direct evaluation of the closed-form response.
 """
 
+import dataclasses
 import json
 import math
 
@@ -16,9 +17,14 @@ from rlcband import (
     ConfigError,
     Interval,
     NotUnderdampedError,
+    PrecisionLossError,
     ResponseBand,
     default_time_grid,
     derive_params,
+    icos,
+    iexp,
+    isin,
+    isqrt,
     load_circuit_spec,
     simulate_ode_point,
     step_response_band,
@@ -124,6 +130,13 @@ def test_not_underdamped_rejected():
     overdamped = CircuitSpec(10000.0, 0.05, 7.8, 0.05, 0.1, 0.10, 100e-9, 0.20)
     with pytest.raises(NotUnderdampedError):
         derive_params(overdamped)
+
+
+def test_params_need_positive_frequencies(demo_params):
+    # the band relies on positive decay and damped frequency
+    for field in ("omega0", "omegad"):
+        with pytest.raises(NotUnderdampedError):
+            dataclasses.replace(demo_params, **{field: Interval(-1.0, 1e4)})
 
 
 def test_underdamped_needs_strict_interior():
@@ -241,6 +254,61 @@ def test_band_encloses_random_box_samples(demo_params, demo_band):
     v = step_response_curve(xi[:, None], w0[:, None], wd[:, None], demo_band.t[None, :])
     assert np.all(v >= demo_band.lower[None, :])
     assert np.all(v <= demo_band.upper[None, :])
+
+
+def _band_reference(params, grid):
+    """The band evaluated point by point in scalar Interval arithmetic."""
+    one = Interval.point(1.0)
+    decay = params.xi * params.omega0
+    damp = params.xi / isqrt(one - params.xi * params.xi)
+    lower, upper = [], []
+    for t in grid:
+        tt = Interval.point(float(t))
+        phase = params.omegad * tt
+        v = one - iexp(-(decay * tt)) * (icos(phase) + damp * isin(phase))
+        lower.append(v.lo)
+        upper.append(v.hi)
+    return np.array(lower), np.array(upper)
+
+
+@pytest.mark.parametrize("tols", [(0.05, 0.05, 0.10, 0.20), (0.0, 0.0, 0.0, 0.0),
+                                  (0.01, 0.2, 0.002, 0.01)], ids=["demo", "point", "mixed"])
+def test_band_matches_scalar_reference(tols):
+    spec = CircuitSpec(
+        r_ohms=100.0, r_tol=tols[0], rl_ohms=7.8, rl_tol=tols[1],
+        l_henries=0.1, l_tol=tols[2], c_farads=100e-9, c_tol=tols[3],
+    )
+    params = derive_params(spec)
+    # t = 0, then phases narrower and (for the toleranced boxes) wider than 2*pi
+    grid = default_time_grid(params, points=300, t_end_mult=8.0)
+    band = step_response_band(params, grid)
+    lower, upper = _band_reference(params, grid)
+    # numpy's exp/cos may differ from libm's by 1 ulp; allow 4 ulp of the step
+    tol = 4 * np.spacing(1.0)
+    assert np.max(np.abs(band.lower - lower)) <= tol
+    assert np.max(np.abs(band.upper - upper)) <= tol
+    assert band.lower[0] <= 0.0 <= band.upper[0]
+
+
+def test_band_survives_envelope_underflow(demo_params):
+    # exp(-decay*t) underflows to 0 well before t = 3 s
+    grid = np.linspace(0.0, 3.0, 5000)
+    band = step_response_band(demo_params, grid)
+    late = grid > 2.0
+    assert np.all(band.lower[late] <= 1.0) and np.all(band.upper[late] >= 1.0)
+    assert np.all(band.lower <= band.upper)
+    # only the outward steps of 1 - 0 remain
+    assert np.max(band.upper[late] - band.lower[late]) <= 2 * np.spacing(1.0)
+
+
+def test_band_rejects_huge_phase(demo_params):
+    with pytest.raises(PrecisionLossError):
+        step_response_band(demo_params, np.array([0.0, 1.0, 1e12]))
+
+
+def test_band_rejects_negative_times(demo_params):
+    with pytest.raises(ValueError):
+        step_response_band(demo_params, np.array([-1e-3, 0.0, 1e-3]))
 
 
 def test_band_validation_rejects_bad_arrays():

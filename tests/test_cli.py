@@ -102,6 +102,15 @@ def test_simulate_missing_config_exit_code(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_simulate_bad_t_end_mult_exit_code(tmp_path, config_path, capsys):
+    for value in ("-1", "0", "nan", "inf"):
+        rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path),
+                   "--t-end-mult", value])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --t-end-mult")
+
+
 def test_simulate_deterministic(tmp_path, config_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(config_path), "--out", str(out1)]) == 0
@@ -128,6 +137,20 @@ def test_metrics_reproduces_reference_columns(config_path, capsys):
     assert "band-inverted" in out
     assert "components" in out
     assert "1e+04" in out          # nominal natural frequency, 4 sig digits
+
+
+def test_metrics_wide_box_degrades_one_row(tmp_path, capsys):
+    # band Mp reaches past 1 here, so only the band-inverted xi is undefined
+    data = dict(DEMO_CONFIG, c_tol_pct=60.0, l_tol_pct=40.0)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    rc = main(["metrics", "--config", str(path)])
+    assert rc == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    xi_band = next(l for l in lines if "band-inverted" in l)
+    assert "none: Mp [0; 1.048] not in (0, 1)" in xi_band
+    assert sum("components" in l for l in lines) == 3
+    assert sum("params" in l for l in lines) == 4
 
 
 def test_metrics_with_trace_column(tmp_path, config_path, capsys):

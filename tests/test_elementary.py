@@ -6,6 +6,7 @@ range-soundness sweeps live in the acceptance suite.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +29,7 @@ from rlcband import (
     isin,
     isqrt,
 )
+from rlcband.elementary import icos_array, iexp_array, isin_array
 
 # mpmath oracle values (60 digits, rounded to nearest double here)
 EXP_M0169586 = 0.8440141661408205  # exp(-0.169586)
@@ -241,3 +243,68 @@ def test_elementary_isotonicity(center, width, a, b):
     assert isin(outer).encloses(isin(inner))
     assert icos(outer).encloses(icos(inner))
     assert iatan(outer).encloses(iatan(inner))
+
+
+# --- array enclosures ---
+
+def _ulp_error_within_one(f_numpy, f_exact, x):
+    """Whether each numpy value lies strictly within 1 ulp of the exact one."""
+    y = f_numpy(x)
+    below = np.nextafter(y, -np.inf)
+    above = np.nextafter(y, np.inf)
+    with mpmath.workdps(50):
+        return [
+            mpmath.mpf(lo) < f_exact(mpmath.mpf(xi)) < mpmath.mpf(hi)
+            for xi, lo, hi in zip(x, below, above)
+        ]
+
+
+def test_numpy_exp_cos_faithful():
+    # The array enclosures widen numpy's exp and cos by 2 ulp, which is
+    # rigorous only if the dispatched (possibly SIMD) kernels are within
+    # 1 ulp; check that on band-typical arguments.
+    rng = np.random.default_rng(41)
+    assert all(_ulp_error_within_one(np.exp, mpmath.exp, rng.uniform(-50.0, 0.0, 10000)))
+    assert all(_ulp_error_within_one(np.cos, mpmath.cos, rng.uniform(0.0, 1e4, 10000)))
+
+
+def _scalar_enclosures(f, lo, hi):
+    out = [f(Interval(a, b)) for a, b in zip(lo, hi)]
+    return np.array([y.lo for y in out]), np.array([y.hi for y in out])
+
+
+@pytest.mark.parametrize(
+    "f_array,f,lo_range",
+    [(iexp_array, iexp, (-50.0, 5.0)), (icos_array, icos, (-40.0, 1e4)),
+     (isin_array, isin, (-40.0, 1e4))],
+    ids=["exp", "cos", "sin"],
+)
+def test_array_enclosures_match_scalar(f_array, f, lo_range):
+    rng = np.random.default_rng(43)
+    lo = rng.uniform(*lo_range, 3000)
+    # widths from points to just over a period
+    hi = lo + rng.choice([0.0, 1e-9, 0.1, 1.0, 3.0, 6.5], 3000) * rng.uniform(0.0, 1.0, 3000)
+    got_lo, got_hi = f_array(lo, hi)
+    want_lo, want_hi = _scalar_enclosures(f, lo, hi)
+    # numpy's exp/cos may differ from libm's by 1 ulp, and each is widened by 2
+    scale = np.spacing(np.maximum(np.abs(want_lo), np.abs(want_hi)))
+    assert np.all(np.abs(got_lo - want_lo) <= 2 * scale)
+    assert np.all(np.abs(got_hi - want_hi) <= 2 * scale)
+    assert np.all(got_lo <= got_hi)
+
+
+def test_array_trig_pins_extrema_and_range():
+    lo = np.array([-0.5, 3.0, 0.0, 1.0, -7.0])
+    hi = np.array([0.5, 3.5, 7.0, 1.0, -6.0])
+    c_lo, c_hi = icos_array(lo, hi)
+    assert c_hi[0] == 1.0 and c_lo[1] == -1.0  # 0 and pi inside
+    assert (c_lo[2], c_hi[2]) == (-1.0, 1.0)  # a full period
+    assert c_lo[3] <= math.cos(1.0) <= c_hi[3]
+    s_lo, s_hi = isin_array(lo, hi)
+    assert s_lo[4] <= math.sin(-6.5) <= s_hi[4]
+    with pytest.raises(PrecisionLossError):
+        icos_array(np.array([0.0]), np.array([2.0**53]))
+    with pytest.raises(PrecisionLossError):
+        isin_array(np.array([-(2.0**53)]), np.array([0.0]))
+    with pytest.raises(IntervalOverflowError):
+        iexp_array(np.array([0.0]), np.array([800.0]))

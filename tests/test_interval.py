@@ -13,6 +13,7 @@ from rlcband import (
     Interval,
     IntervalOverflowError,
     InvalidIntervalError,
+    isqrt,
 )
 
 finite = st.floats(
@@ -239,6 +240,16 @@ def test_inclusion_isotonicity(x, y, data):
     assert (x * y).encloses(xs * ys)
     if y.lo > 1e-6 or y.hi < -1e-6:
         assert (x / y).encloses(xs / ys)
+
+
+def test_underflow_keeps_sign():
+    # both used to come back as [-5e-324; 5e-324]
+    x = Interval(1e-200, 2e-200)
+    square = x * x
+    assert square == Interval(0.0, 5e-324)
+    assert isqrt(square).encloses(Interval(0.0, 2e-162))
+    assert Interval(1e-300, 2e-300) / Interval(1e300, 2e300) == Interval(0.0, 5e-324)
+    assert -x * x == Interval(-5e-324, 0.0)
 
 
 def test_dependency_widening_example():

@@ -8,11 +8,15 @@ import pytest
 
 from rlcband.rounding import (
     add_down,
+    add_down_array,
     add_up,
+    add_up_array,
     div_down,
     div_up,
     mul_down,
+    mul_down_array,
     mul_up,
+    mul_up_array,
     next_down,
     next_up,
     sqrt_down,
@@ -106,3 +110,61 @@ def test_subnormal_products_stay_sound():
     lo = mul_down(tiny, tiny)
     hi = mul_up(tiny, tiny)
     assert Fraction(lo) <= Fraction(tiny) * Fraction(tiny) <= Fraction(hi)
+
+
+TINY = 5e-324  # smallest subnormal
+
+
+def test_underflowed_products_keep_their_sign():
+    # the exact product is positive (negative), so 0 bounds it from below (above)
+    assert mul_down(1e-200, 2e-200) == 0.0 and mul_up(1e-200, 2e-200) == TINY
+    assert mul_down(-1e-200, -2e-200) == 0.0 and mul_up(-1e-200, -2e-200) == TINY
+    assert mul_down(-1e-200, 2e-200) == -TINY and mul_up(-1e-200, 2e-200) == 0.0
+    assert mul_down(1e-200, -2e-200) == -TINY and mul_up(1e-200, -2e-200) == 0.0
+    # a nonzero subnormal product still steps both ways
+    assert mul_down(3e-162, 3e-162) < 9e-324 < mul_up(3e-162, 3e-162)
+
+
+def test_underflowed_quotients_keep_their_sign():
+    assert div_down(1e-300, 1e300) == 0.0 and div_up(1e-300, 1e300) == TINY
+    assert div_down(-1e-300, 1e300) == -TINY and div_up(-1e-300, 1e300) == 0.0
+    assert div_down(1e-300, -1e300) == -TINY and div_up(1e-300, -1e300) == 0.0
+
+
+def _edge_values(n, seed):
+    """Random values mixed with zeros, subnormal-range factors and huge ones."""
+    rng = np.random.default_rng(seed)
+    vals = _random_values(n, seed)
+    pick = rng.integers(0, 5, n)
+    vals[pick == 0] = 0.0
+    vals[pick == 1] = rng.uniform(-1.0, 1.0, np.count_nonzero(pick == 1)) * 1e-160
+    vals[pick == 2] = rng.uniform(-1.0, 1.0, np.count_nonzero(pick == 2)) * 1e300
+    return vals
+
+
+def test_array_ops_match_scalar_ops():
+    a = _edge_values(20000, 8)
+    b = _edge_values(20000, 9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cases = [
+            (add_down_array, add_down),
+            (add_up_array, add_up),
+            (mul_down_array, mul_down),
+            (mul_up_array, mul_up),
+        ]
+        for array_op, scalar_op in cases:
+            got = array_op(a, b)
+            want = np.array([scalar_op(x, y) for x, y in zip(a, b)])
+            finite = np.isfinite(want)  # the scalar ops leave overflow to Interval
+            assert np.array_equal(got[finite], want[finite]), array_op.__name__
+            assert np.all(np.isinf(got[~finite]) | (np.abs(got[~finite]) == np.finfo(float).max))
+
+
+def test_array_ops_bracket_exact():
+    a = _edge_values(3000, 10)
+    b = _edge_values(3000, 11)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = mul_down_array(a, b), mul_up_array(a, b)
+    for x, y, l, h in zip(a, b, lo, hi):
+        if np.isfinite(l) and np.isfinite(h):
+            assert Fraction(l) <= Fraction(x) * Fraction(y) <= Fraction(h)
