@@ -14,10 +14,11 @@ response the component box can produce.  The band is evaluated on lo/hi
 float64 arrays, one block of grid points at a time.
 """
 
-import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,10 @@ def load_circuit_spec(path) -> CircuitSpec:
         value = raw[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"config {path}: {key} must be a number")
+        # json reads Infinity and NaN; the comparison also rejects an int too
+        # large for a float, which float() would fail on
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"config {path}: {key} must be finite, got {value}")
         kwargs[field] = value / 100.0 if key.endswith("_pct") else float(value)
     try:
         return CircuitSpec(**kwargs)
@@ -352,17 +357,21 @@ def simulate_ode_point(spec: CircuitSpec, t_end: float, dt: float):
     return times, out
 
 
+# Rows per formatting operation: bounds the text and tuple of a long table.
+_CSV_BLOCK = 4096
+
+
+def write_csv(path, header: str, row_format: str, columns) -> None:
+    """Write header, then row_format (a conversion per column and the line
+    terminator) for each row; one %-operation formats a block of rows."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [column[start:start + _CSV_BLOCK].tolist() for column in columns]
+            fh.write((row_format * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+
+
 def write_band_csv(band: ResponseBand, path) -> None:
     """Write the band as CSV with header t,lower,nominal,upper (17 sig. digits)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "lower", "nominal", "upper"])
-        for i in range(band.t.size):
-            writer.writerow(
-                [
-                    f"{band.t[i]:.17g}",
-                    f"{band.lower[i]:.17g}",
-                    f"{band.nominal[i]:.17g}",
-                    f"{band.upper[i]:.17g}",
-                ]
-            )
+    write_csv(path, "t,lower,nominal,upper\r\n", "%.17g,%.17g,%.17g,%.17g\r\n",
+              (band.t, band.lower, band.nominal, band.upper))

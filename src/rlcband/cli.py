@@ -22,10 +22,12 @@ from .circuit import (
     load_circuit_spec,
     step_response_band,
     write_band_csv,
+    write_csv,
 )
 from .errors import ConfigError, DomainError, DomainViolationError, IntervalError, TraceError
 from .interval import Interval
 from .metrics import (
+    Pipeline,
     identify,
     overshoot_from_band,
     specs_from_params,
@@ -73,10 +75,7 @@ def _cmd_simulate(args) -> int:
     band_path = out / "band.csv"
     nominal_path = out / "nominal.csv"
     write_band_csv(band, band_path)
-    with open(nominal_path, "w", newline="") as fh:
-        fh.write("t,v\n")
-        for i in range(band.t.size):
-            fh.write(f"{band.t[i]:.17g},{band.nominal[i]:.17g}\n")
+    write_csv(nominal_path, "t,v\n", "%.17g,%.17g\n", (band.t, band.nominal))
     print(f"wrote {band_path}")
     print(f"wrote {nominal_path}")
     return EXIT_OK
@@ -113,16 +112,17 @@ def _metrics_rows(params, band, trace_specs, trace_params, digits):
         # a wide box: the band's overshoot reaches 0 or 1, so xi is not defined
         xi_band = f"none: Mp {mp_band.render(p)} not in (0, 1)"
     nominal = specs_from_params(_nominal_view(params))
+    by_params, by_band = Pipeline.FROM_PARAMS.value, Pipeline.FROM_BAND.value
     rows = []
     rows.append(("Mp", _fmt(nominal.mp.midpoint(), p), cell("mp", trace_specs),
-                 specs.mp.render(p), "params"))
-    rows.append(("Mp", blank, blank, mp_band.render(p), "band"))
+                 specs.mp.render(p), by_params))
+    rows.append(("Mp", blank, blank, mp_band.render(p), by_band))
     rows.append(("ts", _fmt(nominal.ts_rise.midpoint(), p), cell("ts_rise", trace_specs),
-                 specs.ts_rise.render(p), "params"))
+                 specs.ts_rise.render(p), by_params))
     rows.append(("tp", _fmt(nominal.tp.midpoint(), p), cell("tp", trace_specs),
-                 specs.tp.render(p), "params"))
+                 specs.tp.render(p), by_params))
     rows.append(("ta", _fmt(nominal.ta.midpoint(), p), cell("ta", trace_specs),
-                 specs.ta.render(p), "params"))
+                 specs.ta.render(p), by_params))
     dyn = []
     dyn.append(("xi", _fmt(params.xi_nominal, p),
                 _fmt(trace_params.xi_nominal, p) if trace_params else blank,

@@ -112,14 +112,18 @@ def overshoot_from_band(band: ResponseBand) -> Interval:
     """Band-pipeline overshoot: [max lower - 1 (clamped at 0), max upper - 1].
 
     Requires the grid to cover the first peak with margin; a band whose
-    nominal curve never rises above the final value (no overshoot) is
-    accepted and yields a clamped lower endpoint.
+    nominal curve ends within 0.5 % of the final value and never rises above
+    its last point (no overshoot) is accepted and yields a clamped lower
+    endpoint.
     """
     i_peak = int(np.argmax(band.nominal))
     if i_peak == band.t.size - 1:
-        if band.nominal[-1] > 1.005:
+        # the last point is the highest: accepted only where the response has
+        # settled at its final value without overshoot
+        if not abs(band.nominal[-1] - 1.0) <= 0.005:
             raise PeakNotCoveredError(
-                "band grid ends while the response is still rising"
+                f"band grid ends at {band.t[-1]:.6g} before the nominal response "
+                f"peaks (last value {band.nominal[-1]:.6g})"
             )
         # no-overshoot band: fall through with clamping
     elif band.t[-1] < 1.2 * band.t[i_peak]:

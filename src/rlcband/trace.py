@@ -10,12 +10,13 @@ containment in a guaranteed band.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import ResponseBand
+from .circuit import ResponseBand, write_csv
 from .errors import (
     NonMonotoneTimeError,
     NoStepDetectedError,
@@ -59,31 +60,49 @@ class Trace:
 
 
 def load_trace(path) -> Trace:
-    """Read a trace from a CSV file with header ``t,v``."""
+    """Read a trace from a CSV file with header ``t,v`` (format in README)."""
     path = Path(path)
-    times = []
-    values = []
+    with open(path, newline="") as fh:
+        first = fh.readline()
+    if not first:
+        raise TraceFormatError(f"{path}: empty file")
+    header = next(csv.reader([first]), [])
+    # an unclosed quote would run on into the body
+    if [col.strip().lower() for col in header] != ["t", "v"] or first.count('"') % 2:
+        raise TraceFormatError(f"{path}:1: header must be 't,v', got {header!r}")
+    try:
+        with warnings.catch_warnings():  # a header-only file: Trace reports it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy reads a path in large chunks, an open file line by line
+            data = np.loadtxt(path, skiprows=1, delimiter=",", comments=None,
+                              quotechar='"', dtype=np.float64, ndmin=2)
+        if data.size and data.shape[1] != 2:
+            raise ValueError(f"expected 2 columns, got {data.shape[1]}")
+    except ValueError as exc:
+        _locate_format_error(path)
+        raise TraceFormatError(f"{path}: {exc}") from None
+    t, v = data.reshape(-1, 2).T  # a header-only file reads as shape (0, 1)
+    return Trace(t, v, label=path.name)
+
+
+def _locate_format_error(path) -> None:
+    """Raise the error of the first malformed line; line numbers count blank lines."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError(f"{path}: empty file") from None
-        if [col.strip().lower() for col in header] != ["t", "v"]:
-            raise TraceFormatError(f"{path}:1: header must be 't,v', got {header!r}")
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected 2 fields, got {len(row)}"
-                )
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
-    return Trace(np.array(times), np.array(values), label=path.name)
+            if row and len(row) != 2:
+                raise TraceFormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+            for field in row:
+                value = field.strip()
+                try:
+                    if "_" in value or not value.isascii():  # not read by np.loadtxt
+                        raise ValueError
+                    float(value)
+                except ValueError:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: could not convert string to float: {field!r}"
+                    ) from None
 
 
 def _refine_baseline(v: np.ndarray, i_exceed: int):
@@ -251,16 +270,5 @@ def check_enclosure(
 
 def write_verdicts_csv(report: EnclosureReport, path) -> None:
     """Write per-sample verdicts as CSV: t,v,lower,upper,inside."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "v", "lower", "upper", "inside"])
-        for i in range(report.total):
-            writer.writerow(
-                [
-                    f"{report.times[i]:.17g}",
-                    f"{report.values[i]:.17g}",
-                    f"{report.lower[i]:.17g}",
-                    f"{report.upper[i]:.17g}",
-                    int(report.verdicts[i]),
-                ]
-            )
+    write_csv(path, "t,v,lower,upper,inside\r\n", "%.17g,%.17g,%.17g,%.17g,%d\r\n",
+              (report.times, report.values, report.lower, report.upper, report.verdicts))

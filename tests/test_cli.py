@@ -102,6 +102,20 @@ def test_simulate_missing_config_exit_code(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key, value", [
+    ("r_ohms", float("inf")),   # json writes and reads Infinity
+    ("l_tol_pct", float("nan")),  # and NaN
+    ("c_farads", 10 ** 400),    # an int too large for a float
+], ids=["Infinity", "NaN", "huge-int"])
+def test_simulate_non_finite_config_exit_code(tmp_path, capsys, key, value):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(dict(DEMO_CONFIG, **{key: value})))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{key} must be finite" in err[0]
+
+
 def test_simulate_bad_t_end_mult_exit_code(tmp_path, config_path, capsys):
     for value in ("-1", "0", "nan", "inf"):
         rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path),
@@ -151,6 +165,15 @@ def test_metrics_wide_box_degrades_one_row(tmp_path, capsys):
     assert "none: Mp [0; 1.048] not in (0, 1)" in xi_band
     assert sum("components" in l for l in lines) == 3
     assert sum("params" in l for l in lines) == 4
+
+
+def test_metrics_grid_before_final_value_exit_code(config_path, capsys):
+    rc = main(["metrics", "--config", str(config_path), "--t-end-mult", "0.01"])
+    assert rc == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: band grid ends at")
 
 
 def test_metrics_with_trace_column(tmp_path, config_path, capsys):

@@ -221,6 +221,31 @@ def test_band_overshoot_clamps_monotone_band():
     assert mp.hi == pytest.approx(0.05 - math.exp(-10.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("final, settled", [
+    (0.9, False), (0.996, True), (1.004, True), (1.01, False),
+])
+def test_band_overshoot_last_point_peak(final, settled):
+    # the highest point is the last: only a band settled at 1 is accepted
+    t = np.linspace(0.0, 10.0, 300)
+    nominal = final * (1.0 - np.exp(-t)) / (1.0 - math.exp(-10.0))
+    band = ResponseBand(t, nominal - 0.05, nominal, nominal + 0.05)
+    if settled:
+        assert overshoot_from_band(band).lo == 0.0
+    else:
+        with pytest.raises(PeakNotCoveredError):
+            overshoot_from_band(band)
+
+
+def test_band_overshoot_rejects_grid_before_final_value(demo_params):
+    from rlcband import step_response_band
+
+    grid = np.linspace(0.0, 1.0e-4, 300)  # ends before the response first reaches 1
+    band = step_response_band(demo_params, grid)
+    assert int(np.argmax(band.nominal)) == grid.size - 1 and band.nominal[-1] < 1.0
+    with pytest.raises(PeakNotCoveredError):
+        overshoot_from_band(band)
+
+
 def test_band_overshoot_requires_peak_coverage(demo_params):
     from rlcband import step_response_band
 

@@ -1,5 +1,8 @@
 """Trace ingestion, normalization, spec measurement, enclosure checking."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,129 @@ def test_load_rejects_wrong_field_count(tmp_path):
     rows[10] = "10,1,extra"
     path.write_text("t,v\n" + "\n".join(rows) + "\n")
     with pytest.raises(TraceFormatError, match=":12:"):
+        load_trace(path)
+
+
+def _reference_load(path):
+    """The per-line csv.reader + float() loader that load_trace replaced."""
+    path = Path(path)
+    times = []
+    values = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TraceFormatError(f"{path}: empty file") from None
+        if [col.strip().lower() for col in header] != ["t", "v"]:
+            raise TraceFormatError(f"{path}:1: header must be 't,v', got {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: expected 2 fields, got {len(row)}"
+                )
+            try:
+                times.append(float(row[0]))
+                values.append(float(row[1]))
+            except ValueError as exc:
+                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+    return Trace(np.array(times), np.array(values), label=path.name)
+
+
+ROWS = [f"{i * 1e-6:.17g},{0.2 + 0.1 * np.sin(i):.10g}" for i in range(60)]
+
+
+def _lines(rows, eol="\n"):
+    return "".join(row + eol for row in rows)
+
+
+def _with_row(index, row):
+    return ROWS[:index] + [row] + ROWS[index + 1:]
+
+
+def _outcome(loader, path):
+    try:
+        tr = loader(path)
+    except Exception as exc:  # compared below, not handled
+        return type(exc), str(exc)
+    return tr.t.tobytes(), tr.v.tobytes(), tr.label
+
+
+@pytest.mark.parametrize("text, error, match", [
+    ("t,v\n", TooFewSamplesError, "0 samples"),
+    ("t,v\n\n\n", TooFewSamplesError, "0 samples"),
+    ("", TraceFormatError, "empty file"),
+    ("\ufefft,v\n" + _lines(ROWS), TraceFormatError, r":1: header"),
+    ("t,v\n\n\n" + _lines(_with_row(5, "5e-6,oops")), TraceFormatError,
+     r":9: could not convert string to float: 'oops'$"),
+    ("t,v\n" + _lines(row + ",1" for row in ROWS), TraceFormatError,
+     r":2: expected 2 fields, got 3$"),
+    ("t,v\n" + _lines(ROWS + ["1,2,3"]), TraceFormatError, r":62: expected 2 fields, got 3$"),
+    ("t,v\n" + _lines(_with_row(7, "7e-6")), TraceFormatError,
+     r":9: expected 2 fields, got 1$"),
+    ("t,v\n" + _lines(_with_row(3, "   ")), TraceFormatError,
+     r":5: expected 2 fields, got 1$"),
+    ("t,v\n" + _lines(_with_row(3, "3e-6,")), TraceFormatError,
+     r":5: could not convert string to float: ''$"),
+    ("t,v\n" + _lines(_with_row(4, '"4e-6,0.2"')), TraceFormatError,
+     r":6: expected 2 fields, got 1$"),
+    ("t,v\n" + _lines(_with_row(59, "0x10,0.2")), TraceFormatError,
+     r":61: could not convert string to float: '0x10'$"),
+    ("t,v\n" + _lines(_with_row(2, "2e-6, 1e ")), TraceFormatError,
+     r":4: could not convert string to float: ' 1e '$"),
+    ("t,v\n" + _lines(_with_row(0, "-0,-Infinity")), TraceFormatError, "non-finite"),
+])
+def test_load_rejects_like_reference(tmp_path, text, error, match):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(error, match=match):
+        load_trace(path)
+    assert _outcome(load_trace, path) == _outcome(_reference_load, path)
+
+
+@pytest.mark.parametrize("text", [
+    '"t","v"\n' + _lines(f'"{t}","{v}"' for t, v in (row.split(",") for row in ROWS)),
+    " T , V \n" + _lines(f" {row} " for row in ROWS),
+    "t,v\r\n" + _lines(ROWS, "\r\n"),
+    "t,v\r" + _lines(ROWS, "\r"),
+    "t,v\n\n\n" + _lines(ROWS[:30]) + "\n\r\n" + "\n".join(ROWS[30:]),
+])
+def test_load_accepts_like_reference(tmp_path, text):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(("t,v\n" + _lines(ROWS)).encode())
+    loaded = _outcome(load_trace, path)
+    assert loaded == _outcome(_reference_load, path)
+    assert loaded[:2] == _outcome(load_trace, plain)[:2]
+
+
+def test_load_is_bit_identical_to_float(tmp_path):
+    rng = np.random.default_rng(7)
+    t = np.cumsum(rng.uniform(1e-9, 1e-3, 500))
+    v = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+    path = tmp_path / "trace.csv"
+    path.write_text("t,v\n" + "".join(f"{a!r},{b:.17g}\n" for a, b in zip(t, v)))
+    assert _outcome(load_trace, path) == _outcome(_reference_load, path)
+
+
+def test_load_rejects_unclosed_quote_in_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text('"t","v\n' + _lines(ROWS))
+    with pytest.raises(TraceFormatError, match=r":1: header must be 't,v'"):
+        load_trace(path)
+    with pytest.raises(TraceFormatError, match=r":1: header must be 't,v'"):
+        _reference_load(path)
+
+
+def test_load_rejects_digit_grouping(tmp_path):
+    # float() reads "1_0" as 10; numpy's parser, and so load_trace, does not
+    path = tmp_path / "trace.csv"
+    path.write_text("t,v\n" + _lines(_with_row(20, "1_0,0.2")))
+    with pytest.raises(TraceFormatError,
+                       match=r":22: could not convert string to float: '1_0'$"):
         load_trace(path)
 
 
