@@ -15,7 +15,6 @@ float64 arrays, one block of grid points at a time.
 """
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -25,7 +24,7 @@ import numpy as np
 
 from .elementary import icos_array, iexp_array, isin_array, isqrt
 # Not called here: the traced run of perfbench/worker.py looks these names up
-# on this module to count the scalar enclosures a band makes.
+# on this module (tests/test_benchmark_lookups.py pins that they resolve).
 from .elementary import icos, iexp, isin  # noqa: F401
 from .errors import ConfigError, NotUnderdampedError
 from .interval import Interval
@@ -95,10 +94,10 @@ def load_circuit_spec(path) -> CircuitSpec:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -124,6 +123,14 @@ def load_circuit_spec(path) -> CircuitSpec:
         raise ConfigError(f"config {path}: {exc}") from exc
 
 
+def require_underdamped(xi: Interval) -> None:
+    """Raise NotUnderdampedError unless the damping ratio is inside (0, 1)."""
+    if not (xi.lo > 0.0 and xi.hi < 1.0):
+        raise NotUnderdampedError(
+            f"damping ratio {xi.render(6)} not strictly inside (0, 1)"
+        )
+
+
 @dataclass(frozen=True)
 class SecondOrderParams:
     """Damping ratio, natural and damped frequency, as intervals plus nominals.
@@ -139,10 +146,7 @@ class SecondOrderParams:
     omegad_nominal: float
 
     def __post_init__(self):
-        if not (self.xi.lo > 0.0 and self.xi.hi < 1.0):
-            raise NotUnderdampedError(
-                f"damping ratio {self.xi.render(6)} not strictly inside (0, 1)"
-            )
+        require_underdamped(self.xi)
         if not (self.omega0.lo > 0.0 and self.omegad.lo > 0.0):
             raise NotUnderdampedError(
                 f"natural {self.omega0.render(6)} and damped {self.omegad.render(6)} "
@@ -154,10 +158,7 @@ def _param_intervals(r: Interval, l: Interval, c: Interval):
     one = Interval.point(1.0)
     xi = (r / 2.0) * isqrt(c / l)
     omega0 = one / isqrt(l * c)
-    if not (xi.lo > 0.0 and xi.hi < 1.0):
-        raise NotUnderdampedError(
-            f"damping ratio {xi.render(6)} not strictly inside (0, 1)"
-        )
+    require_underdamped(xi)
     omegad = omega0 * isqrt(one - xi * xi)
     return xi, omega0, omegad
 
@@ -186,18 +187,6 @@ def derive_params(spec: CircuitSpec) -> SecondOrderParams:
         xi_nominal=xi_n.midpoint(),
         omega0_nominal=omega0_n.midpoint(),
         omegad_nominal=omegad_n.midpoint(),
-    )
-
-
-def step_response_point(xi: float, omega0: float, omegad: float, t: float) -> float:
-    """Closed-form unit-step response value at time t (point arithmetic)."""
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    if not 0.0 < xi < 1.0:
-        raise NotUnderdampedError(f"damping ratio {xi} not strictly inside (0, 1)")
-    damp = xi / math.sqrt(1.0 - xi * xi)
-    return 1.0 - math.exp(-xi * omega0 * t) * (
-        math.cos(omegad * t) + damp * math.sin(omegad * t)
     )
 
 
@@ -308,53 +297,6 @@ def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:
         params.xi_nominal, params.omega0_nominal, params.omegad_nominal, grid
     )
     return ResponseBand(t=grid, lower=lower, nominal=nominal, upper=upper)
-
-
-def simulate_ode_point(spec: CircuitSpec, t_end: float, dt: float):
-    """Fixed-step RK4 integration of the two-state circuit ODE from rest.
-
-    Independent cross-check of the closed form: integrates
-    dv/dt = i/C, di/dt = (1 - R*i - v)/L under a unit step.
-    Returns (times, capacitor voltage) arrays.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt > t_end / 100.0:
-        raise ValueError(f"dt = {dt} too coarse for t_end = {t_end} (need dt <= t_end/100)")
-    omega0 = 1.0 / math.sqrt(spec.l_henries * spec.c_farads)
-    if dt * omega0 > 0.1:
-        raise ValueError(
-            f"dt * omega0 = {dt * omega0:.3g} exceeds the accuracy guard of 0.1"
-        )
-    r = spec.r_total_nominal
-    inv_c = 1.0 / spec.c_farads
-    inv_l = 1.0 / spec.l_henries
-    n = int(round(t_end / dt))
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    v = 0.0
-    i = 0.0
-    h = dt
-    for k in range(n):
-        k1v = i * inv_c
-        k1i = (1.0 - r * i - v) * inv_l
-        v2 = v + 0.5 * h * k1v
-        i2 = i + 0.5 * h * k1i
-        k2v = i2 * inv_c
-        k2i = (1.0 - r * i2 - v2) * inv_l
-        v3 = v + 0.5 * h * k2v
-        i3 = i + 0.5 * h * k2i
-        k3v = i3 * inv_c
-        k3i = (1.0 - r * i3 - v3) * inv_l
-        v4 = v + h * k3v
-        i4 = i + h * k3i
-        k4v = i4 * inv_c
-        k4i = (1.0 - r * i4 - v4) * inv_l
-        v += h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
-        i += h * (k1i + 2.0 * (k2i + k3i) + k4i) / 6.0
-        out[k + 1] = v
-    times = np.arange(n + 1, dtype=np.float64) * dt
-    return times, out
 
 
 # Rows per formatting operation: bounds the text and tuple of a long table.

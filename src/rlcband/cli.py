@@ -12,6 +12,7 @@ error, 4 enclosure failure.
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -83,15 +84,11 @@ def _cmd_simulate(args) -> int:
 
 def _nominal_view(params):
     """Degenerate-interval view of the nominal parameter triple."""
-    from .circuit import SecondOrderParams
-
-    return SecondOrderParams(
+    return dataclasses.replace(
+        params,
         xi=Interval.point(params.xi_nominal),
         omega0=Interval.point(params.omega0_nominal),
         omegad=Interval.point(params.omegad_nominal),
-        xi_nominal=params.xi_nominal,
-        omega0_nominal=params.omega0_nominal,
-        omegad_nominal=params.omegad_nominal,
     )
 
 

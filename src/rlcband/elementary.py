@@ -1,19 +1,20 @@
-"""Rigorous interval enclosures for exp, ln, sqrt, sin, cos, arccos, arctan.
+"""Rigorous interval enclosures for exp, ln, sqrt, sin, cos and arccos.
 
-Policy: libm point evaluations are assumed faithful to 1 ulp and every
-inexact endpoint is widened by 2 ulp outward, so a degenerate input yields
-an enclosure at most 4 ulp wide.  ``isqrt`` is the exception: IEEE 754
-requires a correctly rounded square root, so exact roots are returned
-exactly and inexact ones widened by a single ulp.
+Policy: point evaluations of exp, ln, cos and arccos are assumed faithful
+to 1 ulp and every inexact endpoint is widened by 2 ulp outward, so a
+degenerate input yields an enclosure at most 4 ulp wide.  ``isqrt`` is the
+exception: IEEE 754 requires a correctly rounded square root, so exact roots
+are returned exactly and inexact ones widened by a single ulp.
 
 sin and cos return exact range enclosures: the result is pinned to +/-1
 whenever a maximiser/minimiser may lie inside the argument interval,
 decided against a rigorous two-endpoint enclosure of pi, and clamped to
 [-1, 1].
 
-``iexp_array``, ``icos_array`` and ``isin_array`` apply the same policy to
-intervals given as lo/hi float64 arrays, with numpy's exp and cos in place
-of libm (their faithfulness is checked against mpmath in the test suite).
+exp, sin and cos have one implementation, on intervals given as lo/hi
+float64 arrays (``iexp_array``, ``icos_array``, ``isin_array``) with numpy's
+exp and cos, whose faithfulness is checked against mpmath in the test
+suite.  ``iexp``, ``icos`` and ``isin`` run it on a 1-element array.
 """
 
 import math
@@ -31,9 +32,7 @@ from .interval import Interval
 from .rounding import (
     add_down_array,
     add_up_array,
-    mul_down,
     mul_down_array,
-    mul_up,
     mul_up_array,
     next_down,
     next_up,
@@ -67,23 +66,11 @@ def _up2_array(x: np.ndarray) -> np.ndarray:
     return np.nextafter(np.nextafter(x, np.inf), np.inf)
 
 
-def _check_trig_range(magnitude: float, x) -> None:
-    if magnitude > _MAX_TRIG_ARG:
+def _check_trig_range(lo: np.ndarray, hi: np.ndarray) -> None:
+    if max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0)) > _MAX_TRIG_ARG:
         raise PrecisionLossError(
-            f"trig argument beyond 2**52 rad loses all reduction precision: {x}"
+            "trig argument beyond 2**52 rad loses all reduction precision"
         )
-
-
-def iexp(x: Interval) -> Interval:
-    """Enclosure of e**x; monotone, so endpoint evaluation suffices."""
-    try:
-        hi = _up2(math.exp(x.hi))
-    except OverflowError:
-        raise IntervalOverflowError(f"exp overflow on {x}") from None
-    if math.isinf(hi):
-        raise IntervalOverflowError(f"exp overflow on {x}")
-    lo = max(0.0, _down2(math.exp(x.lo)))  # e**x > 0; underflow clamps to 0
-    return Interval(lo, hi)
 
 
 def iln(x: Interval) -> Interval:
@@ -100,51 +87,12 @@ def isqrt(x: Interval) -> Interval:
     return Interval(max(0.0, sqrt_down(x.lo)), sqrt_up(x.hi))
 
 
-def _pi_multiple(k: int):
-    """Rigorous enclosure of k*pi as an endpoint pair."""
-    kf = float(k)
-    if k >= 0:
-        return mul_down(kf, PI.lo), mul_up(kf, PI.hi)
-    return mul_down(kf, PI.hi), mul_up(kf, PI.lo)
-
-
-def icos(x: Interval) -> Interval:
-    """Exact range enclosure of cos over x, clamped to [-1, 1]."""
-    _check_trig_range(max(abs(x.lo), abs(x.hi)), x)
-    if x.hi - x.lo >= TWO_PI.hi:
-        return Interval(-1.0, 1.0)
-    # cos attains +1 at even multiples of pi and -1 at odd multiples.  Pin an
-    # endpoint whenever the rigorous enclosure of such a multiple can
-    # intersect x (conservative: never misses a contained extremum).
-    has_max = has_min = False
-    k_first = math.floor(x.lo / math.pi) - 1
-    k_last = math.floor(x.hi / math.pi) + 1
-    for k in range(k_first, k_last + 1):
-        m_lo, m_hi = _pi_multiple(k)
-        if m_lo <= x.hi and m_hi >= x.lo:
-            if k % 2 == 0:
-                has_max = True
-            else:
-                has_min = True
-    c_lo = math.cos(x.lo)
-    c_hi = math.cos(x.hi)
-    lo = -1.0 if has_min else max(-1.0, _down2(min(c_lo, c_hi)))
-    hi = 1.0 if has_max else min(1.0, _up2(max(c_lo, c_hi)))
-    return Interval(lo, hi)
-
-
-def isin(x: Interval) -> Interval:
-    """Exact range enclosure of sin over x, via sin(x) = cos(x - pi/2)."""
-    _check_trig_range(max(abs(x.lo), abs(x.hi)), x)
-    return icos(x - HALF_PI)
-
-
 def iexp_array(lo: np.ndarray, hi: np.ndarray):
-    """Elementwise ``iexp`` of the intervals [lo, hi]; returns (lo, hi)."""
+    """Enclosure of e**x over each interval [lo, hi] (monotone); returns (lo, hi)."""
     with np.errstate(over="ignore"):
         e_hi = _up2_array(np.exp(hi))
     if np.isinf(e_hi).any():
-        raise IntervalOverflowError("exp overflow on an array argument")
+        raise IntervalOverflowError("exp overflows the double range")
     return np.maximum(0.0, _down2_array(np.exp(lo))), e_hi
 
 
@@ -154,9 +102,8 @@ _PI_CANDIDATES = 6
 
 
 def icos_array(lo: np.ndarray, hi: np.ndarray):
-    """Elementwise ``icos`` of the intervals [lo, hi]; returns (lo, hi)."""
-    magnitude = max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0))
-    _check_trig_range(magnitude, "an array argument")
+    """Exact range enclosure of cos over each interval [lo, hi]; returns (lo, hi)."""
+    _check_trig_range(lo, hi)
     out_lo = np.full(lo.shape, -1.0)
     out_hi = np.full(lo.shape, 1.0)
     # Arguments at least a period wide keep [-1, 1]; the rest are narrower
@@ -169,7 +116,7 @@ def icos_array(lo: np.ndarray, hi: np.ndarray):
     k_first = np.floor(lo / math.pi) - 1.0
     for j in range(_PI_CANDIDATES):
         k = k_first + j
-        # k*pi enclosed as in _pi_multiple: the sign of k picks the endpoints.
+        # k*pi enclosed by directed products: the sign of k picks the endpoints.
         m_lo = mul_down_array(k, np.where(k >= 0.0, PI.lo, PI.hi))
         m_hi = mul_up_array(k, np.where(k >= 0.0, PI.hi, PI.lo))
         hit = (m_lo <= hi) & (m_hi >= lo)
@@ -188,10 +135,30 @@ def icos_array(lo: np.ndarray, hi: np.ndarray):
 
 
 def isin_array(lo: np.ndarray, hi: np.ndarray):
-    """Elementwise ``isin`` of the intervals [lo, hi], via cos(x - pi/2)."""
-    magnitude = max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0))
-    _check_trig_range(magnitude, "an array argument")
+    """Range enclosure of sin over each [lo, hi] as cos(x - pi/2); returns (lo, hi)."""
+    _check_trig_range(lo, hi)
     return icos_array(add_down_array(lo, -HALF_PI.hi), add_up_array(hi, -HALF_PI.lo))
+
+
+def _on_arrays(kernel, x: Interval) -> Interval:
+    """One interval through an array kernel, as a 1-element array."""
+    lo, hi = kernel(np.array([x.lo]), np.array([x.hi]))
+    return Interval(lo[0], hi[0])
+
+
+def iexp(x: Interval) -> Interval:
+    """Enclosure of e**x."""
+    return _on_arrays(iexp_array, x)
+
+
+def icos(x: Interval) -> Interval:
+    """Exact range enclosure of cos over x, clamped to [-1, 1]."""
+    return _on_arrays(icos_array, x)
+
+
+def isin(x: Interval) -> Interval:
+    """Exact range enclosure of sin over x."""
+    return _on_arrays(isin_array, x)
 
 
 def iacos(x: Interval) -> Interval:
@@ -201,11 +168,4 @@ def iacos(x: Interval) -> Interval:
         raise DomainViolationError(f"acos argument {x} does not meet [-1, 1]")
     lo = max(0.0, _down2(math.acos(clamped.hi)))
     hi = min(PI.hi, _up2(math.acos(clamped.lo)))
-    return Interval(lo, hi)
-
-
-def iatan(x: Interval) -> Interval:
-    """Enclosure of arctan; monotone."""
-    lo = max(-HALF_PI.hi, _down2(math.atan(x.lo)))
-    hi = min(HALF_PI.hi, _up2(math.atan(x.hi)))
     return Interval(lo, hi)

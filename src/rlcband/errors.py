@@ -50,8 +50,8 @@ class PrecisionLossError(DomainError):
     """Trig argument so large that range reduction is meaningless."""
 
 
-class NotUnderdampedError(DomainError):
-    """Damping ratio not strictly inside (0, 1)."""
+class NotUnderdampedError(DomainViolationError):
+    """Damping ratio not strictly inside (0, 1), or a frequency not positive."""
 
 
 class PeakNotCoveredError(DomainError):

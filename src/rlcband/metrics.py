@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import ResponseBand, SecondOrderParams
+from .circuit import ResponseBand, SecondOrderParams, require_underdamped
 from .elementary import PI, iacos, iexp, iln, isqrt
 from .errors import DomainViolationError, PeakNotCoveredError
 from .interval import Interval
@@ -51,12 +51,14 @@ class TransientSpecs:
                 raise ValueError(f"{name} must be strictly positive")
 
 
+def _require_positive(x: Interval, name: str) -> None:
+    if x.lo <= 0.0:
+        raise DomainViolationError(f"{name} {x.render(6)} must be strictly positive")
+
+
 def overshoot_from_xi(xi: Interval) -> Interval:
     """Overshoot fraction exp(-pi*xi/sqrt(1-xi^2)); antitone in xi."""
-    if not (xi.lo > 0.0 and xi.hi < 1.0):
-        raise DomainViolationError(
-            f"damping ratio {xi.render(6)} must be strictly inside (0, 1)"
-        )
+    require_underdamped(xi)
     one = Interval.point(1.0)
     exponent = (PI * xi) / isqrt(one - xi * xi)
     return iexp(-exponent)
@@ -64,20 +66,14 @@ def overshoot_from_xi(xi: Interval) -> Interval:
 
 def peak_time(omegad: Interval) -> Interval:
     """Time of the first overshoot peak, pi/omegad."""
-    if omegad.lo <= 0.0:
-        raise DomainViolationError(
-            f"damped frequency {omegad.render(6)} must be strictly positive"
-        )
+    _require_positive(omegad, "damped frequency")
     return PI / omegad
 
 
 def settling_time(xi: Interval, omega0: Interval) -> Interval:
     """Time to stay within +/-2 % of the final value: 4/(xi*omega0)."""
     product = xi * omega0
-    if product.lo <= 0.0:
-        raise DomainViolationError(
-            f"xi*omega0 = {product.render(6)} must be strictly positive"
-        )
+    _require_positive(product, "xi*omega0 =")
     return Interval.point(4.0) / product
 
 
@@ -86,14 +82,8 @@ def rise_time(xi: Interval, omegad: Interval) -> Interval:
 
     Exact for the underdamped closed form (no root finding needed).
     """
-    if not (xi.lo > 0.0 and xi.hi < 1.0):
-        raise DomainViolationError(
-            f"damping ratio {xi.render(6)} must be strictly inside (0, 1)"
-        )
-    if omegad.lo <= 0.0:
-        raise DomainViolationError(
-            f"damped frequency {omegad.render(6)} must be strictly positive"
-        )
+    require_underdamped(xi)
+    _require_positive(omegad, "damped frequency")
     return (PI - iacos(xi)) / omegad
 
 
@@ -151,9 +141,7 @@ def xi_from_overshoot(mp: Interval) -> Interval:
     evaluation) and tight.
     """
     if not (mp.lo > 0.0 and mp.hi < 1.0):
-        raise DomainViolationError(
-            f"overshoot {mp.render(6)} must be strictly inside (0, 1)"
-        )
+        raise DomainViolationError(f"overshoot {mp.render(6)} not in (0, 1)")
     return _xi_from_overshoot_thin(mp.lo).hull(_xi_from_overshoot_thin(mp.hi))
 
 
@@ -163,10 +151,7 @@ def identify(mp: Interval, tp: Interval) -> SecondOrderParams:
     Inverts the overshoot and peak-time formulas: xi from mp (monotone
     endpoint evaluation), omegad = pi/tp, omega0 = omegad/sqrt(1-xi^2).
     """
-    if tp.lo <= 0.0:
-        raise DomainViolationError(
-            f"peak time {tp.render(6)} must be strictly positive"
-        )
+    _require_positive(tp, "peak time")
     xi = xi_from_overshoot(mp)
     omegad = PI / tp
     omega0 = omegad / isqrt(Interval.point(1.0) - xi * xi)

@@ -62,7 +62,7 @@ class Trace:
 def load_trace(path) -> Trace:
     """Read a trace from a CSV file with header ``t,v`` (format in README)."""
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         first = fh.readline()
     if not first:
         raise TraceFormatError(f"{path}: empty file")
@@ -78,7 +78,7 @@ def load_trace(path) -> Trace:
                               quotechar='"', dtype=np.float64, ndmin=2)
         if data.size and data.shape[1] != 2:
             raise ValueError(f"expected 2 columns, got {data.shape[1]}")
-    except ValueError as exc:
+    except ValueError as exc:  # numpy's UnicodeDecodeError is one too
         _locate_format_error(path)
         raise TraceFormatError(f"{path}: {exc}") from None
     t, v = data.reshape(-1, 2).T  # a header-only file reads as shape (0, 1)
@@ -86,8 +86,11 @@ def load_trace(path) -> Trace:
 
 
 def _locate_format_error(path) -> None:
-    """Raise the error of the first malformed line; line numbers count blank lines."""
-    with open(path, newline="") as fh:
+    """Raise the error of the first malformed line; line numbers count blank lines.
+
+    A byte that is not UTF-8 reads as U+FFFD, which no field or header accepts.
+    """
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):

@@ -243,6 +243,29 @@ def test_check_out_of_box_trace_fails(tmp_path, config_path, capsys):
     assert "worst violation" in stdout
 
 
+@pytest.mark.parametrize("command", ["check", "metrics"])
+@pytest.mark.parametrize("lineno", [1, 41], ids=["header", "body"])
+def test_non_utf8_trace_exit_code(tmp_path, config_path, capsys, command, lineno):
+    lines = _in_box_trace_csv(tmp_path).read_bytes().split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1][:1] + b"\xff" + lines[lineno - 1][1:]
+    trace_path = tmp_path / "latin.csv"
+    trace_path.write_bytes(b"\n".join(lines))
+    rc = main([command, "--config", str(config_path), "--trace", str(trace_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {trace_path}:{lineno}: ")
+
+
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    path = tmp_path / "circuit.json"
+    path.write_bytes(json.dumps(DEMO_CONFIG).encode().replace(b"r_ohms", b"r_\xffohms"))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config {path} ")
+
+
 def test_check_requires_trace_flag(config_path):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--config", str(config_path)])

