@@ -6,29 +6,7 @@ arithmetic, producing guaranteed enclosures of the response band and of the
 transient specifications, and verifying experimental traces against them.
 """
 
-from .errors import (
-    ConfigError,
-    DivisionByZeroIntervalError,
-    DomainError,
-    DomainViolationError,
-    IntervalError,
-    IntervalOverflowError,
-    InvalidIntervalError,
-    NegativeArgumentError,
-    NonMonotoneTimeError,
-    NonPositiveArgumentError,
-    NoStepDetectedError,
-    NotSettledError,
-    NotUnderdampedError,
-    OverdampedTraceError,
-    PeakNotCoveredError,
-    PrecisionLossError,
-    RlcBandError,
-    TimeRangeMismatchError,
-    TooFewSamplesError,
-    TraceError,
-    TraceFormatError,
-)
+from .errors import ConfigError, DomainError, IntervalError, RlcBandError, TraceError
 from .interval import Interval
 from .elementary import HALF_PI, PI, TWO_PI, iacos, icos, iexp, iln, isin, isqrt
 from .circuit import (
@@ -105,23 +83,7 @@ __all__ = [
     "write_verdicts_csv",
     "RlcBandError",
     "IntervalError",
-    "InvalidIntervalError",
-    "IntervalOverflowError",
-    "DivisionByZeroIntervalError",
     "DomainError",
-    "NegativeArgumentError",
-    "NonPositiveArgumentError",
-    "DomainViolationError",
-    "PrecisionLossError",
-    "NotUnderdampedError",
-    "PeakNotCoveredError",
     "TraceError",
-    "TraceFormatError",
-    "NonMonotoneTimeError",
-    "TooFewSamplesError",
-    "NotSettledError",
-    "NoStepDetectedError",
-    "OverdampedTraceError",
-    "TimeRangeMismatchError",
     "ConfigError",
 ]

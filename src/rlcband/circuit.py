@@ -26,7 +26,7 @@ from .elementary import icos_array, iexp_array, isin_array, isqrt
 # Not called here: the traced run of perfbench/worker.py looks these names up
 # on this module (tests/test_benchmark_lookups.py pins that they resolve).
 from .elementary import icos, iexp, isin  # noqa: F401
-from .errors import ConfigError, NotUnderdampedError
+from .errors import ConfigError, DomainError
 from .interval import Interval
 from .rounding import add_down_array, add_up_array, mul_down_array, mul_up_array
 
@@ -124,9 +124,9 @@ def load_circuit_spec(path) -> CircuitSpec:
 
 
 def require_underdamped(xi: Interval) -> None:
-    """Raise NotUnderdampedError unless the damping ratio is inside (0, 1)."""
+    """Raise DomainError unless the damping ratio is inside (0, 1)."""
     if not (xi.lo > 0.0 and xi.hi < 1.0):
-        raise NotUnderdampedError(
+        raise DomainError(
             f"damping ratio {xi.render(6)} not strictly inside (0, 1)"
         )
 
@@ -148,7 +148,7 @@ class SecondOrderParams:
     def __post_init__(self):
         require_underdamped(self.xi)
         if not (self.omega0.lo > 0.0 and self.omegad.lo > 0.0):
-            raise NotUnderdampedError(
+            raise DomainError(
                 f"natural {self.omega0.render(6)} and damped {self.omegad.render(6)} "
                 "frequencies must be strictly positive"
             )

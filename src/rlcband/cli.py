@@ -25,7 +25,7 @@ from .circuit import (
     write_band_csv,
     write_csv,
 )
-from .errors import ConfigError, DomainError, DomainViolationError, IntervalError, TraceError
+from .errors import ConfigError, DomainError, IntervalError, TraceError
 from .interval import Interval
 from .metrics import (
     Pipeline,
@@ -105,7 +105,7 @@ def _metrics_rows(params, band, trace_specs, trace_params, digits):
     mp_band = overshoot_from_band(band)
     try:
         xi_band = xi_from_overshoot(mp_band).render(p)
-    except DomainViolationError:
+    except DomainError:
         # a wide box: the band's overshoot reaches 0 or 1, so xi is not defined
         xi_band = f"none: Mp {mp_band.render(p)} not in (0, 1)"
     nominal = specs_from_params(_nominal_view(params))
@@ -209,28 +209,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, trace_required=False, with_trace=True):
+    simulate = sub.add_parser("simulate", help="write band.csv and nominal.csv")
+    metrics = sub.add_parser("metrics", help="report specs and parameters")
+    check = sub.add_parser("check", help="verify trace enclosure")
+    ident = sub.add_parser("identify", help="invert overshoot/peak time")
+    for p in (simulate, metrics, check):
         p.add_argument("--config", required=True, help="circuit JSON config path")
-        if with_trace:
-            p.add_argument("--trace", required=trace_required, help="trace CSV path")
-        p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--grid-points", type=int, default=2000, help="band grid size")
         p.add_argument("--t-end-mult", type=float, default=5.0,
                        help="grid end as a multiple of the nominal settling time")
-        p.add_argument("--precision", type=int, default=4,
-                       help="significant digits in reports")
-
-    add_common(sub.add_parser("simulate", help="write band.csv and nominal.csv"),
-               with_trace=False)
-    add_common(sub.add_parser("metrics", help="report specs and parameters"))
-    add_common(sub.add_parser("check", help="verify trace enclosure"),
-               trace_required=True)
-
-    ident = sub.add_parser("identify", help="invert overshoot/peak time")
+    metrics.add_argument("--trace", help="trace CSV path")
+    check.add_argument("--trace", required=True, help="trace CSV path")
+    for p in (simulate, check):
+        p.add_argument("--out", default=".", help="output directory")
     ident.add_argument("--mp", required=True,
                        help="overshoot fraction: 'x' or 'lo,hi'")
     ident.add_argument("--tp", help="peak time in seconds: 'x' or 'lo,hi'")
-    ident.add_argument("--precision", type=int, default=4)
+    for p in (metrics, ident):
+        p.add_argument("--precision", type=int, default=4,
+                       help="significant digits in reports")
 
     sub.add_parser("demo-dependency", help="interval dependency demonstration")
     return parser
@@ -250,6 +247,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "grid_points", 100) < 100:
         parser.error("--grid-points must be at least 100")
+    if getattr(args, "precision", 0) < 0:
+        parser.error("--precision must not be negative")
     try:
         return _HANDLERS[args.command](args)
     except (ConfigError, TraceError, OSError) as exc:

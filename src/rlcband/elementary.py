@@ -21,13 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DomainViolationError,
-    IntervalOverflowError,
-    NegativeArgumentError,
-    NonPositiveArgumentError,
-    PrecisionLossError,
-)
+from .errors import DomainError, IntervalError
 from .interval import Interval
 from .rounding import (
     add_down_array,
@@ -68,7 +62,7 @@ def _up2_array(x: np.ndarray) -> np.ndarray:
 
 def _check_trig_range(lo: np.ndarray, hi: np.ndarray) -> None:
     if max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0)) > _MAX_TRIG_ARG:
-        raise PrecisionLossError(
+        raise DomainError(
             "trig argument beyond 2**52 rad loses all reduction precision"
         )
 
@@ -76,14 +70,14 @@ def _check_trig_range(lo: np.ndarray, hi: np.ndarray) -> None:
 def iln(x: Interval) -> Interval:
     """Enclosure of ln(x) for strictly positive intervals."""
     if x.lo <= 0.0:
-        raise NonPositiveArgumentError(f"log requires a positive interval, got {x}")
+        raise DomainError(f"log requires a positive interval, got {x}")
     return Interval(_down2(math.log(x.lo)), _up2(math.log(x.hi)))
 
 
 def isqrt(x: Interval) -> Interval:
     """Enclosure of sqrt(x); exact roots are returned exactly."""
     if x.lo < 0.0:
-        raise NegativeArgumentError(f"sqrt requires a non-negative interval, got {x}")
+        raise DomainError(f"sqrt requires a non-negative interval, got {x}")
     return Interval(max(0.0, sqrt_down(x.lo)), sqrt_up(x.hi))
 
 
@@ -92,7 +86,7 @@ def iexp_array(lo: np.ndarray, hi: np.ndarray):
     with np.errstate(over="ignore"):
         e_hi = _up2_array(np.exp(hi))
     if np.isinf(e_hi).any():
-        raise IntervalOverflowError("exp overflows the double range")
+        raise IntervalError("exp overflows the double range")
     return np.maximum(0.0, _down2_array(np.exp(lo))), e_hi
 
 
@@ -165,7 +159,7 @@ def iacos(x: Interval) -> Interval:
     """Enclosure of arccos on x intersected with [-1, 1]; antitone."""
     clamped = x.intersect(_UNIT)
     if clamped is None:
-        raise DomainViolationError(f"acos argument {x} does not meet [-1, 1]")
+        raise DomainError(f"acos argument {x} does not meet [-1, 1]")
     lo = max(0.0, _down2(math.acos(clamped.hi)))
     hi = min(PI.hi, _up2(math.acos(clamped.lo)))
     return Interval(lo, hi)

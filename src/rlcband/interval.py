@@ -14,11 +14,7 @@ callers branch on it.
 
 import math
 
-from .errors import (
-    DivisionByZeroIntervalError,
-    IntervalOverflowError,
-    InvalidIntervalError,
-)
+from .errors import IntervalError
 from .rounding import (
     add_down,
     add_up,
@@ -42,9 +38,9 @@ class Interval:
         lo = float(lo) + 0.0  # normalise -0.0
         hi = float(hi) + 0.0
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidIntervalError(f"endpoints must be finite, got [{lo}, {hi}]")
+            raise IntervalError(f"endpoints must be finite, got [{lo}, {hi}]")
         if lo > hi:
-            raise InvalidIntervalError(f"lower endpoint exceeds upper: [{lo}, {hi}]")
+            raise IntervalError(f"lower endpoint exceeds upper: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -65,7 +61,7 @@ class Interval:
         ``tol_fraction`` is a fraction (0.05 for 5 %), not a percentage.
         """
         if not math.isfinite(nominal):
-            raise InvalidIntervalError(f"nominal must be finite, got {nominal}")
+            raise IntervalError(f"nominal must be finite, got {nominal}")
         if not (0.0 <= tol_fraction < 1.0):
             raise ValueError(f"tolerance fraction must be in [0, 1), got {tol_fraction}")
         f_lo = sub_down(1.0, tol_fraction)
@@ -87,7 +83,7 @@ class Interval:
     @staticmethod
     def _checked(lo: float, hi: float) -> "Interval":
         if math.isinf(lo) or math.isinf(hi):
-            raise IntervalOverflowError("interval endpoint overflowed to infinity")
+            raise IntervalError("interval endpoint overflowed to infinity")
         return Interval(lo, hi)
 
     def __add__(self, other) -> "Interval":
@@ -135,7 +131,7 @@ class Interval:
         if o is None:
             return NotImplemented
         if o.lo <= 0.0 <= o.hi:
-            raise DivisionByZeroIntervalError(f"divisor {o} contains zero")
+            raise IntervalError(f"divisor {o} contains zero")
         recip = self._checked(div_down(1.0, o.hi), div_up(1.0, o.lo))
         return self.__mul__(recip)
 

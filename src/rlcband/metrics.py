@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuit import ResponseBand, SecondOrderParams, require_underdamped
 from .elementary import PI, iacos, iexp, iln, isqrt
-from .errors import DomainViolationError, PeakNotCoveredError
+from .errors import DomainError
 from .interval import Interval
 
 _PI_SQUARED = PI * PI
@@ -53,7 +53,7 @@ class TransientSpecs:
 
 def _require_positive(x: Interval, name: str) -> None:
     if x.lo <= 0.0:
-        raise DomainViolationError(f"{name} {x.render(6)} must be strictly positive")
+        raise DomainError(f"{name} {x.render(6)} must be strictly positive")
 
 
 def overshoot_from_xi(xi: Interval) -> Interval:
@@ -111,13 +111,13 @@ def overshoot_from_band(band: ResponseBand) -> Interval:
         # the last point is the highest: accepted only where the response has
         # settled at its final value without overshoot
         if not abs(band.nominal[-1] - 1.0) <= 0.005:
-            raise PeakNotCoveredError(
+            raise DomainError(
                 f"band grid ends at {band.t[-1]:.6g} before the nominal response "
                 f"peaks (last value {band.nominal[-1]:.6g})"
             )
         # no-overshoot band: fall through with clamping
     elif band.t[-1] < 1.2 * band.t[i_peak]:
-        raise PeakNotCoveredError(
+        raise DomainError(
             f"band grid must reach 1.2x the nominal peak time "
             f"(peak at {band.t[i_peak]:.6g}, grid ends {band.t[-1]:.6g})"
         )
@@ -141,7 +141,7 @@ def xi_from_overshoot(mp: Interval) -> Interval:
     evaluation) and tight.
     """
     if not (mp.lo > 0.0 and mp.hi < 1.0):
-        raise DomainViolationError(f"overshoot {mp.render(6)} not in (0, 1)")
+        raise DomainError(f"overshoot {mp.render(6)} not in (0, 1)")
     return _xi_from_overshoot_thin(mp.lo).hull(_xi_from_overshoot_thin(mp.hi))
 
 

@@ -17,19 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import ResponseBand, write_csv
-from .errors import (
-    NonMonotoneTimeError,
-    NoStepDetectedError,
-    NotSettledError,
-    OverdampedTraceError,
-    TimeRangeMismatchError,
-    TooFewSamplesError,
-    TraceFormatError,
-)
+from .errors import TraceError
 from .interval import Interval
 from .metrics import Pipeline, TransientSpecs
 
 MIN_SAMPLES = 50
+STEP_FRACTION = 0.10  # onset threshold, as a fraction of the full range
+SETTLE_FRACTION = 0.02  # half-width of the settling band around 1
+CHECK_SLACK = 1e-9  # tolerance on either side of the band in check_enclosure
 
 
 @dataclass
@@ -44,15 +39,15 @@ class Trace:
         self.t = np.asarray(self.t, dtype=np.float64)
         self.v = np.asarray(self.v, dtype=np.float64)
         if self.t.ndim != 1 or self.t.shape != self.v.shape:
-            raise TraceFormatError("trace needs matching 1-D time and value arrays")
+            raise TraceError("trace needs matching 1-D time and value arrays")
         if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.v))):
-            raise TraceFormatError("trace contains non-finite values")
+            raise TraceError("trace contains non-finite values")
         if self.t.size < MIN_SAMPLES:
-            raise TooFewSamplesError(
+            raise TraceError(
                 f"trace has {self.t.size} samples, need at least {MIN_SAMPLES}"
             )
         if not np.all(np.diff(self.t) > 0.0):
-            raise NonMonotoneTimeError("trace timestamps must be strictly increasing")
+            raise TraceError("trace timestamps must be strictly increasing")
 
     @property
     def n(self) -> int:
@@ -65,11 +60,11 @@ def load_trace(path) -> Trace:
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         first = fh.readline()
     if not first:
-        raise TraceFormatError(f"{path}: empty file")
+        raise TraceError(f"{path}: empty file")
     header = next(csv.reader([first]), [])
     # an unclosed quote would run on into the body
     if [col.strip().lower() for col in header] != ["t", "v"] or first.count('"') % 2:
-        raise TraceFormatError(f"{path}:1: header must be 't,v', got {header!r}")
+        raise TraceError(f"{path}:1: header must be 't,v', got {header!r}")
     try:
         with warnings.catch_warnings():  # a header-only file: Trace reports it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -80,7 +75,7 @@ def load_trace(path) -> Trace:
             raise ValueError(f"expected 2 columns, got {data.shape[1]}")
     except ValueError as exc:  # numpy's UnicodeDecodeError is one too
         _locate_format_error(path)
-        raise TraceFormatError(f"{path}: {exc}") from None
+        raise TraceError(f"{path}: {exc}") from None
     t, v = data.reshape(-1, 2).T  # a header-only file reads as shape (0, 1)
     return Trace(t, v, label=path.name)
 
@@ -95,7 +90,7 @@ def _locate_format_error(path) -> None:
         next(reader)
         for lineno, row in enumerate(reader, start=2):
             if row and len(row) != 2:
-                raise TraceFormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+                raise TraceError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
             for field in row:
                 value = field.strip()
                 try:
@@ -103,7 +98,7 @@ def _locate_format_error(path) -> None:
                         raise ValueError
                     float(value)
                 except ValueError:
-                    raise TraceFormatError(
+                    raise TraceError(
                         f"{path}:{lineno}: could not convert string to float: {field!r}"
                     ) from None
 
@@ -130,11 +125,11 @@ def _refine_baseline(v: np.ndarray, i_exceed: int):
     return baseline, onset
 
 
-def normalize(trace: Trace, step_fraction: float = 0.10) -> Trace:
+def normalize(trace: Trace) -> Trace:
     """Rescale a capture to unit-step coordinates.
 
     baseline = mean of the pre-step samples (everything before the first
-    sample exceeding ``step_fraction`` of the full range, iteratively
+    sample exceeding ``STEP_FRACTION`` of the full range, iteratively
     refined), steady = mean of the final 10 %, and time is shifted so the
     detected step onset is t = 0.
     """
@@ -143,22 +138,22 @@ def normalize(trace: Trace, step_fraction: float = 0.10) -> Trace:
     vmax = float(v.max())
     span = vmax - vmin
     if span <= 0.0:
-        raise NoStepDetectedError("constant trace has no step")
-    threshold = vmin + step_fraction * span
+        raise TraceError("constant trace has no step")
+    threshold = vmin + STEP_FRACTION * span
     i_exceed = int(np.argmax(v > threshold))  # first True; v.max() > threshold
     if i_exceed == 0:
-        raise NoStepDetectedError("no pre-step samples before the threshold crossing")
+        raise TraceError("no pre-step samples before the threshold crossing")
     n_tail = max(1, trace.n // 10)
     tail = v[-n_tail:]
     steady = float(tail.mean())
     if not float(tail.std()) < 0.05 * abs(steady):
-        raise NotSettledError(
+        raise TraceError(
             "final 10 % of the trace is not steady (std >= 5 % of mean)"
         )
     baseline, onset = _refine_baseline(v, i_exceed)
     scale = steady - baseline
     if scale <= 0.0:
-        raise NoStepDetectedError("no upward step from baseline to steady state")
+        raise TraceError("no upward step from baseline to steady state")
     return Trace(
         t=trace.t - trace.t[onset],
         v=(v - baseline) / scale,
@@ -166,18 +161,18 @@ def normalize(trace: Trace, step_fraction: float = 0.10) -> Trace:
     )
 
 
-def measure_specs(trace: Trace, settle_fraction: float = 0.02) -> TransientSpecs:
+def measure_specs(trace: Trace) -> TransientSpecs:
     """Read the transient specifications off a normalized trace.
 
     Overshoot is the sample maximum minus 1, peak time its timestamp, rise
     time the first linearly interpolated crossing of 1, and settling time
-    the last entry into the +/-``settle_fraction`` band around 1.
+    the last entry into the +/-``SETTLE_FRACTION`` band around 1.
     """
     t = trace.t
     v = trace.v
     mp = float(v.max()) - 1.0
     if mp < 0.01:
-        raise OverdampedTraceError(
+        raise TraceError(
             f"overshoot {mp:.4f} below 0.01; trace is not usefully underdamped"
         )
     i_peak = int(np.argmax(v))
@@ -185,15 +180,15 @@ def measure_specs(trace: Trace, settle_fraction: float = 0.02) -> TransientSpecs
     above = np.nonzero(v >= 1.0)[0]
     j = int(above[0])
     if j == 0:
-        raise NoStepDetectedError("trace begins at or above the final value")
+        raise TraceError("trace begins at or above the final value")
     ts = float(
         t[j - 1] + (1.0 - v[j - 1]) / (v[j] - v[j - 1]) * (t[j] - t[j - 1])
     )
-    outside = np.nonzero(np.abs(v - 1.0) > settle_fraction)[0]
+    outside = np.nonzero(np.abs(v - 1.0) > SETTLE_FRACTION)[0]
     k = int(outside[-1])  # the peak itself is outside, so non-empty
     if k == trace.n - 1:
-        raise NotSettledError("trace never enters the settling band for good")
-    bound = 1.0 + settle_fraction if v[k] > 1.0 else 1.0 - settle_fraction
+        raise TraceError("trace never enters the settling band for good")
+    bound = 1.0 + SETTLE_FRACTION if v[k] > 1.0 else 1.0 - SETTLE_FRACTION
     ta = float(t[k] + (bound - v[k]) / (v[k + 1] - v[k]) * (t[k + 1] - t[k]))
     return TransientSpecs(
         mp=Interval.point(mp),
@@ -224,30 +219,28 @@ class EnclosureReport:
             raise ValueError("inside count cannot exceed total")
 
 
-def check_enclosure(
-    trace: Trace, band: ResponseBand, slack: float = 1e-9
-) -> EnclosureReport:
+def check_enclosure(trace: Trace, band: ResponseBand) -> EnclosureReport:
     """Verify each trace sample lies inside the band.
 
     Band bounds are linearly interpolated at the sample times, so verdicts
     inherit grid-resolution error; sample traces near the band's grid
     spacing (and normalize first so t = 0 is the onset).  Samples outside
     the band's time range are excluded from the verdict count.  A sample is
-    inside iff lower - slack <= v <= upper + slack.
+    inside iff lower - CHECK_SLACK <= v <= upper + CHECK_SLACK.
     """
     if trace.t[-1] < band.t[0] or trace.t[0] > band.t[-1]:
-        raise TimeRangeMismatchError(
+        raise TraceError(
             f"trace spans [{trace.t[0]:.6g}, {trace.t[-1]:.6g}] but the band "
             f"covers [{band.t[0]:.6g}, {band.t[-1]:.6g}]"
         )
     mask = (trace.t >= band.t[0]) & (trace.t <= band.t[-1])
     if not mask.any():
-        raise TimeRangeMismatchError("no trace samples fall inside the band grid")
+        raise TraceError("no trace samples fall inside the band grid")
     times = trace.t[mask]
     values = trace.v[mask]
     lower = np.interp(times, band.t, band.lower)
     upper = np.interp(times, band.t, band.upper)
-    verdicts = (values >= lower - slack) & (values <= upper + slack)
+    verdicts = (values >= lower - CHECK_SLACK) & (values <= upper + CHECK_SLACK)
     total = int(times.size)
     inside = int(verdicts.sum())
     worst = None

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from rlcband import HALF_PI, PI, TWO_PI, Interval, IntervalOverflowError, PrecisionLossError
+from rlcband import HALF_PI, PI, TWO_PI, DomainError, Interval, IntervalError
 from rlcband.circuit import require_underdamped
 from rlcband.rounding import mul_down, mul_up, next_down, next_up
 
@@ -29,7 +29,7 @@ def _up2(x: float) -> float:
 
 def _check_trig_range(x: Interval) -> None:
     if max(abs(x.lo), abs(x.hi)) > 2.0**52:
-        raise PrecisionLossError(f"trig argument beyond 2**52 rad: {x}")
+        raise DomainError(f"trig argument beyond 2**52 rad: {x}")
 
 
 def iexp(x: Interval) -> Interval:
@@ -37,9 +37,9 @@ def iexp(x: Interval) -> Interval:
     try:
         hi = _up2(math.exp(x.hi))
     except OverflowError:
-        raise IntervalOverflowError(f"exp overflow on {x}") from None
+        raise IntervalError(f"exp overflow on {x}") from None
     if math.isinf(hi):
-        raise IntervalOverflowError(f"exp overflow on {x}")
+        raise IntervalError(f"exp overflow on {x}")
     lo = max(0.0, _down2(math.exp(x.lo)))  # e**x > 0; underflow clamps to 0
     return Interval(lo, hi)
 

@@ -16,8 +16,7 @@ from rlcband import (
     CircuitSpec,
     ConfigError,
     Interval,
-    NotUnderdampedError,
-    PrecisionLossError,
+    DomainError,
     ResponseBand,
     default_time_grid,
     derive_params,
@@ -125,21 +124,21 @@ def test_interval_parameters_match_corner_oracle(demo_params):
 
 def test_not_underdamped_rejected():
     overdamped = CircuitSpec(10000.0, 0.05, 7.8, 0.05, 0.1, 0.10, 100e-9, 0.20)
-    with pytest.raises(NotUnderdampedError):
+    with pytest.raises(DomainError, match="damping ratio .* not strictly inside"):
         derive_params(overdamped)
 
 
 def test_params_need_positive_frequencies(demo_params):
     # the band relies on positive decay and damped frequency
     for field in ("omega0", "omegad"):
-        with pytest.raises(NotUnderdampedError):
+        with pytest.raises(DomainError, match="frequencies must be strictly positive"):
             dataclasses.replace(demo_params, **{field: Interval(-1.0, 1e4)})
 
 
 def test_underdamped_needs_strict_interior():
     # tolerance pushing the upper damping ratio to 1 must be rejected
     marginal = CircuitSpec(1900.0, 0.05, 7.8, 0.05, 0.1, 0.10, 100e-9, 0.20)
-    with pytest.raises(NotUnderdampedError):
+    with pytest.raises(DomainError, match="damping ratio .* not strictly inside"):
         derive_params(marginal)
 
 
@@ -193,7 +192,7 @@ def test_response_settles_to_one(demo_params):
 def test_response_validations(demo_params):
     with pytest.raises(ValueError):
         step_response_point(0.5, 1e4, 9e3, -1.0)
-    with pytest.raises(NotUnderdampedError):
+    with pytest.raises(DomainError, match="damping ratio .* not strictly inside"):
         step_response_point(1.5, 1e4, 9e3, 1.0)
 
 
@@ -300,7 +299,7 @@ def test_band_survives_envelope_underflow(demo_params):
 
 
 def test_band_rejects_huge_phase(demo_params):
-    with pytest.raises(PrecisionLossError):
+    with pytest.raises(DomainError, match=r"2\*\*52 rad loses all reduction precision"):
         step_response_band(demo_params, np.array([0.0, 1.0, 1e12]))
 
 

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import rlcband
+from rlcband import cli
 from rlcband.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -139,6 +141,58 @@ def test_grid_points_floor(config_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["identify", "--mp", "0.5", "--precision", "-1"],
+    ["metrics", "--config", "CONFIG", "--precision", "-2"],
+], ids=["identify", "metrics"])
+def test_negative_precision_is_usage_error(config_path, capsys, argv):
+    argv = [str(config_path) if a == "CONFIG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["rlcband: error: --precision must not be negative"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "CONFIG", "--precision", "6"],
+    ["check", "--config", "CONFIG", "--trace", "t.csv", "--precision", "6"],
+    ["metrics", "--config", "CONFIG", "--out", "o"],
+], ids=["simulate-precision", "check-precision", "metrics-out"])
+def test_unread_flags_are_rejected(config_path, capsys, argv):
+    argv = [str(config_path) if a == "CONFIG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+EXIT_BY_FAMILY = {
+    rlcband.ConfigError: EXIT_CONFIG,
+    rlcband.TraceError: EXIT_CONFIG,
+    rlcband.DomainError: EXIT_DOMAIN,
+    rlcband.IntervalError: EXIT_DOMAIN,
+}
+# every exported exception class but the base, which is never raised itself
+EXPORTED_ERRORS = [obj for obj in (getattr(rlcband, name) for name in rlcband.__all__)
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj is not rlcband.RlcBandError]
+
+
+@pytest.mark.parametrize("error", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+def test_exported_error_exit_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("the message")
+
+    monkeypatch.setitem(cli._HANDLERS, "demo-dependency", fail)
+    assert main(["demo-dependency"]) == EXIT_BY_FAMILY.get(error)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: the message"]
+
+
 # --- metrics ---
 
 def test_metrics_reproduces_reference_columns(config_path, capsys):
@@ -250,8 +304,8 @@ def test_non_utf8_trace_exit_code(tmp_path, config_path, capsys, command, lineno
     lines[lineno - 1] = lines[lineno - 1][:1] + b"\xff" + lines[lineno - 1][1:]
     trace_path = tmp_path / "latin.csv"
     trace_path.write_bytes(b"\n".join(lines))
-    rc = main([command, "--config", str(config_path), "--trace", str(trace_path),
-               "--out", str(tmp_path / "out")])
+    out = ["--out", str(tmp_path / "out")] if command == "check" else []
+    rc = main([command, "--config", str(config_path), "--trace", str(trace_path), *out])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {trace_path}:{lineno}: ")

@@ -9,10 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlcband import (
-    DivisionByZeroIntervalError,
     Interval,
-    IntervalOverflowError,
-    InvalidIntervalError,
+    IntervalError,
     isqrt,
 )
 
@@ -42,15 +40,15 @@ def test_make_degenerate():
 
 
 def test_make_rejects_misordered():
-    with pytest.raises(InvalidIntervalError):
+    with pytest.raises(IntervalError, match="lower endpoint exceeds upper"):
         Interval(2.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_make_rejects_non_finite(bad):
-    with pytest.raises(InvalidIntervalError):
+    with pytest.raises(IntervalError, match="endpoints must be finite"):
         Interval(bad, 1.0)
-    with pytest.raises(InvalidIntervalError):
+    with pytest.raises(IntervalError, match="endpoints must be finite"):
         Interval(0.0, bad)
 
 
@@ -130,9 +128,9 @@ def test_div_examples():
 
 
 def test_div_by_zero_containing_interval():
-    with pytest.raises(DivisionByZeroIntervalError):
+    with pytest.raises(IntervalError, match="contains zero"):
         Interval(1, 2) / Interval(-1, 1)
-    with pytest.raises(DivisionByZeroIntervalError):
+    with pytest.raises(IntervalError, match="contains zero"):
         Interval(1, 2) / Interval(0, 1)
 
 
@@ -151,9 +149,9 @@ def test_scalar_mixing():
 
 def test_overflow_is_an_error():
     big = Interval.point(1e308)
-    with pytest.raises(IntervalOverflowError):
+    with pytest.raises(IntervalError, match="endpoint overflowed to infinity"):
         big + big
-    with pytest.raises(IntervalOverflowError):
+    with pytest.raises(IntervalError, match="endpoint overflowed to infinity"):
         big * big
 
 

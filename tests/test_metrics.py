@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from rlcband import (
-    DomainViolationError,
+    DomainError,
     Interval,
-    PeakNotCoveredError,
     Pipeline,
     ResponseBand,
     TransientSpecs,
@@ -77,9 +76,9 @@ def test_overshoot_component_box():
 
 
 def test_overshoot_domain_checks():
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainError, match="not strictly inside"):
         overshoot_from_xi(Interval(0.0, 0.5))
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainError, match="not strictly inside"):
         overshoot_from_xi(Interval(0.5, 1.0))
 
 
@@ -112,7 +111,7 @@ def test_peak_time_degenerate_pi():
 
 
 def test_peak_time_rejects_nonpositive():
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainError, match="damped frequency .* must be strictly positive"):
         peak_time(Interval(-1.0, 100.0))
 
 
@@ -136,7 +135,7 @@ def test_settling_box():
 
 
 def test_settling_rejects_nonpositive():
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainError, match=r"xi\*omega0 = .* must be strictly positive"):
         settling_time(Interval(-0.1, 0.1), Interval.point(1e4))
 
 
@@ -232,7 +231,7 @@ def test_band_overshoot_last_point_peak(final, settled):
     if settled:
         assert overshoot_from_band(band).lo == 0.0
     else:
-        with pytest.raises(PeakNotCoveredError):
+        with pytest.raises(DomainError, match="before the nominal response peaks"):
             overshoot_from_band(band)
 
 
@@ -242,7 +241,7 @@ def test_band_overshoot_rejects_grid_before_final_value(demo_params):
     grid = np.linspace(0.0, 1.0e-4, 300)  # ends before the response first reaches 1
     band = step_response_band(demo_params, grid)
     assert int(np.argmax(band.nominal)) == grid.size - 1 and band.nominal[-1] < 1.0
-    with pytest.raises(PeakNotCoveredError):
+    with pytest.raises(DomainError, match="before the nominal response peaks"):
         overshoot_from_band(band)
 
 
@@ -251,7 +250,12 @@ def test_band_overshoot_requires_peak_coverage(demo_params):
 
     grid = np.linspace(0.0, 2.0e-4, 300)  # ends before the first peak
     band = step_response_band(demo_params, grid)
-    with pytest.raises(PeakNotCoveredError):
+    with pytest.raises(DomainError, match="before the nominal response peaks"):
+        overshoot_from_band(band)
+    grid = np.linspace(0.0, 3.5e-4, 300)  # past the peak, but short of 1.2x its time
+    band = step_response_band(demo_params, grid)
+    assert int(np.argmax(band.nominal)) < grid.size - 1
+    with pytest.raises(DomainError, match="must reach 1.2x the nominal peak time"):
         overshoot_from_band(band)
 
 
@@ -283,11 +287,11 @@ def test_identify_roundtrip_nominal():
 
 
 def test_identify_domain_checks():
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainError, match=r"overshoot .* not in \(0, 1\)"):
         identify(Interval(0.5, 1.0), Interval.point(1e-4))
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainError, match="peak time .* must be strictly positive"):
         identify(Interval.point(0.5), Interval(0.0, 1e-4))
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainError, match=r"overshoot .* not in \(0, 1\)"):
         xi_from_overshoot(Interval(0.0, 0.9))
 
 

@@ -8,16 +8,10 @@ import pytest
 
 from rlcband import (
     Interval,
-    NonMonotoneTimeError,
-    NoStepDetectedError,
-    NotSettledError,
-    OverdampedTraceError,
     Pipeline,
     ResponseBand,
-    TimeRangeMismatchError,
-    TooFewSamplesError,
     Trace,
-    TraceFormatError,
+    TraceError,
     check_enclosure,
     load_trace,
     measure_specs,
@@ -54,14 +48,14 @@ def test_load_rejects_decreasing_time(tmp_path):
     path = tmp_path / "bad.csv"
     rows = "".join(f"{t},{v}\n" for t, v in zip(range(60, 0, -1), range(60)))
     path.write_text("t,v\n" + rows)
-    with pytest.raises(NonMonotoneTimeError):
+    with pytest.raises(TraceError, match="timestamps must be strictly increasing"):
         load_trace(path)
 
 
 def test_load_rejects_too_few_samples(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("t,v\n" + "".join(f"{i},{i}\n" for i in range(10)))
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(TraceError, match="trace has 10 samples, need at least 50"):
         load_trace(path)
 
 
@@ -70,14 +64,14 @@ def test_load_reports_malformed_row_with_line_number(tmp_path):
     rows = [f"{i},{i}" for i in range(60)]
     rows[30] = "30,not-a-number"
     path.write_text("t,v\n" + "\n".join(rows) + "\n")
-    with pytest.raises(TraceFormatError, match=":32:"):
+    with pytest.raises(TraceError, match=":32: could not convert"):
         load_trace(path)
 
 
 def test_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("time,volt\n0,0\n")
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(TraceError, match=":1: header must be 't,v'"):
         load_trace(path)
 
 
@@ -86,7 +80,7 @@ def test_load_rejects_wrong_field_count(tmp_path):
     rows = [f"{i},{i}" for i in range(60)]
     rows[10] = "10,1,extra"
     path.write_text("t,v\n" + "\n".join(rows) + "\n")
-    with pytest.raises(TraceFormatError, match=":12:"):
+    with pytest.raises(TraceError, match=":12: expected 2 fields"):
         load_trace(path)
 
 
@@ -100,21 +94,21 @@ def _reference_load(path):
         try:
             header = next(reader)
         except StopIteration:
-            raise TraceFormatError(f"{path}: empty file") from None
+            raise TraceError(f"{path}: empty file") from None
         if [col.strip().lower() for col in header] != ["t", "v"]:
-            raise TraceFormatError(f"{path}:1: header must be 't,v', got {header!r}")
+            raise TraceError(f"{path}:1: header must be 't,v', got {header!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
-                raise TraceFormatError(
+                raise TraceError(
                     f"{path}:{lineno}: expected 2 fields, got {len(row)}"
                 )
             try:
                 times.append(float(row[0]))
                 values.append(float(row[1]))
             except ValueError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+                raise TraceError(f"{path}:{lineno}: {exc}") from None
     return Trace(np.array(times), np.array(values), label=path.name)
 
 
@@ -137,34 +131,34 @@ def _outcome(loader, path):
     return tr.t.tobytes(), tr.v.tobytes(), tr.label
 
 
-@pytest.mark.parametrize("text, error, match", [
-    ("t,v\n", TooFewSamplesError, "0 samples"),
-    ("t,v\n\n\n", TooFewSamplesError, "0 samples"),
-    ("", TraceFormatError, "empty file"),
-    ("\ufefft,v\n" + _lines(ROWS), TraceFormatError, r":1: header"),
-    ("t,v\n\n\n" + _lines(_with_row(5, "5e-6,oops")), TraceFormatError,
+@pytest.mark.parametrize("text, match", [
+    ("t,v\n", "0 samples"),
+    ("t,v\n\n\n", "0 samples"),
+    ("", "empty file"),
+    ("\ufefft,v\n" + _lines(ROWS), r":1: header"),
+    ("t,v\n\n\n" + _lines(_with_row(5, "5e-6,oops")),
      r":9: could not convert string to float: 'oops'$"),
-    ("t,v\n" + _lines(row + ",1" for row in ROWS), TraceFormatError,
+    ("t,v\n" + _lines(row + ",1" for row in ROWS),
      r":2: expected 2 fields, got 3$"),
-    ("t,v\n" + _lines(ROWS + ["1,2,3"]), TraceFormatError, r":62: expected 2 fields, got 3$"),
-    ("t,v\n" + _lines(_with_row(7, "7e-6")), TraceFormatError,
+    ("t,v\n" + _lines(ROWS + ["1,2,3"]), r":62: expected 2 fields, got 3$"),
+    ("t,v\n" + _lines(_with_row(7, "7e-6")),
      r":9: expected 2 fields, got 1$"),
-    ("t,v\n" + _lines(_with_row(3, "   ")), TraceFormatError,
+    ("t,v\n" + _lines(_with_row(3, "   ")),
      r":5: expected 2 fields, got 1$"),
-    ("t,v\n" + _lines(_with_row(3, "3e-6,")), TraceFormatError,
+    ("t,v\n" + _lines(_with_row(3, "3e-6,")),
      r":5: could not convert string to float: ''$"),
-    ("t,v\n" + _lines(_with_row(4, '"4e-6,0.2"')), TraceFormatError,
+    ("t,v\n" + _lines(_with_row(4, '"4e-6,0.2"')),
      r":6: expected 2 fields, got 1$"),
-    ("t,v\n" + _lines(_with_row(59, "0x10,0.2")), TraceFormatError,
+    ("t,v\n" + _lines(_with_row(59, "0x10,0.2")),
      r":61: could not convert string to float: '0x10'$"),
-    ("t,v\n" + _lines(_with_row(2, "2e-6, 1e ")), TraceFormatError,
+    ("t,v\n" + _lines(_with_row(2, "2e-6, 1e ")),
      r":4: could not convert string to float: ' 1e '$"),
-    ("t,v\n" + _lines(_with_row(0, "-0,-Infinity")), TraceFormatError, "non-finite"),
+    ("t,v\n" + _lines(_with_row(0, "-0,-Infinity")), "non-finite"),
 ])
-def test_load_rejects_like_reference(tmp_path, text, error, match):
+def test_load_rejects_like_reference(tmp_path, text, match):
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode())
-    with pytest.raises(error, match=match):
+    with pytest.raises(TraceError, match=match):
         load_trace(path)
     assert _outcome(load_trace, path) == _outcome(_reference_load, path)
 
@@ -198,9 +192,9 @@ def test_load_is_bit_identical_to_float(tmp_path):
 def test_load_rejects_unclosed_quote_in_header(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text('"t","v\n' + _lines(ROWS))
-    with pytest.raises(TraceFormatError, match=r":1: header must be 't,v'"):
+    with pytest.raises(TraceError, match=r":1: header must be 't,v'"):
         load_trace(path)
-    with pytest.raises(TraceFormatError, match=r":1: header must be 't,v'"):
+    with pytest.raises(TraceError, match=r":1: header must be 't,v'"):
         _reference_load(path)
 
 
@@ -208,7 +202,7 @@ def test_load_rejects_digit_grouping(tmp_path):
     # float() reads "1_0" as 10; numpy's parser, and so load_trace, does not
     path = tmp_path / "trace.csv"
     path.write_text("t,v\n" + _lines(_with_row(20, "1_0,0.2")))
-    with pytest.raises(TraceFormatError,
+    with pytest.raises(TraceError,
                        match=r":22: could not convert string to float: '1_0'$"):
         load_trace(path)
 
@@ -272,7 +266,7 @@ def test_normalize_long_constant_plateau():
 
 def test_normalize_constant_trace_rejected():
     t = np.arange(100) * 1e-3
-    with pytest.raises(NoStepDetectedError):
+    with pytest.raises(TraceError, match="constant trace has no step"):
         normalize(Trace(t, np.full(100, 2.5)))
 
 
@@ -280,7 +274,7 @@ def test_normalize_requires_pre_step_samples():
     # capture starting mid-transient: no baseline segment before the crossing
     tr = make_step_trace(XI_NOMINAL, W0_NOMINAL, WD_NOMINAL, dt=1e-6, t_end=0.03)
     clipped = Trace(tr.t[200:], tr.v[200:] + 0.5)
-    with pytest.raises(NoStepDetectedError):
+    with pytest.raises(TraceError, match="no pre-step samples"):
         normalize(clipped)
 
 
@@ -288,7 +282,7 @@ def test_normalize_rejects_unsettled_capture():
     tr = make_step_trace(
         XI_NOMINAL, W0_NOMINAL, WD_NOMINAL, dt=1e-6, t_end=5e-4, t_pre=1e-4
     )
-    with pytest.raises(NotSettledError):
+    with pytest.raises(TraceError, match="final 10 % of the trace is not steady"):
         normalize(tr)
 
 
@@ -327,13 +321,13 @@ def test_measure_rejects_overdamped():
     t = np.arange(0, 30000, dtype=np.float64) * 1e-6
     v = 1.0 - np.exp(-t / 2e-3)
     v[0] = 0.0
-    with pytest.raises(OverdampedTraceError):
+    with pytest.raises(TraceError, match="not usefully underdamped"):
         measure_specs(Trace(t, v))
 
 
 def test_measure_rejects_flat_line():
     t = np.arange(100, dtype=np.float64) * 1e-4
-    with pytest.raises(OverdampedTraceError):
+    with pytest.raises(TraceError, match="not usefully underdamped"):
         measure_specs(Trace(t, np.ones(100)))
 
 
@@ -377,7 +371,7 @@ def test_enclosure_excludes_out_of_range_samples(demo_band):
 
 def test_enclosure_disjoint_ranges_rejected(demo_band):
     t = np.arange(100, dtype=np.float64) * 1e-3 + 1.0
-    with pytest.raises(TimeRangeMismatchError):
+    with pytest.raises(TraceError, match="but the band covers"):
         check_enclosure(Trace(t, np.ones(100)), demo_band)
 
 
