@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .elementary import icos_array, iexp_array, isin_array, isqrt
+from .elementary import HALF_PI, icos_array, iexp_array, isqrt
 # Not called here: the traced run of perfbench/worker.py looks these names up
 # on this module (tests/test_benchmark_lookups.py pins that they resolve).
 from .elementary import icos, iexp, isin  # noqa: F401
@@ -226,7 +226,7 @@ class ResponseBand:
                 raise ValueError(f"{name} shape does not match the grid")
         if self.t[0] != 0.0:
             raise ValueError("band grid must start at t = 0")
-        if not np.all(np.diff(self.t) > 0.0):
+        if not np.all(self.t[1:] > self.t[:-1]):
             raise ValueError("band grid must be strictly increasing")
         if not (
             np.all(self.lower <= self.nominal) and np.all(self.nominal <= self.upper)
@@ -260,8 +260,11 @@ def _band_block(decay: Interval, omegad: Interval, damp: Interval, t: np.ndarray
     env_lo, env_hi = iexp_array(-mul_up_array(decay.hi, t), -mul_down_array(decay.lo, t))
     phase_lo = mul_down_array(omegad.lo, t)
     phase_hi = mul_up_array(omegad.hi, t)
-    cos_lo, cos_hi = icos_array(phase_lo, phase_hi)
-    sin_lo, sin_hi = isin_array(phase_lo, phase_hi)
+    # One call for cos and sin, as sin(x) = cos(x - pi/2).
+    (cos_lo, sin_lo), (cos_hi, sin_hi) = icos_array(
+        np.stack((phase_lo, add_down_array(phase_lo, -HALF_PI.hi))),
+        np.stack((phase_hi, add_up_array(phase_hi, -HALF_PI.lo))),
+    )
     # damp > 0: an endpoint of sin pairs with the damp endpoint of its sign.
     osc_lo = add_down_array(
         cos_lo, mul_down_array(np.where(sin_lo >= 0.0, damp.lo, damp.hi), sin_lo)

@@ -42,6 +42,9 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_ENCLOSURE = 4
 
+# The most significant digits a double's exact decimal expansion has.
+MAX_PRECISION = 767
+
 
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
@@ -249,6 +252,8 @@ def main(argv=None) -> int:
         parser.error("--grid-points must be at least 100")
     if getattr(args, "precision", 0) < 0:
         parser.error("--precision must not be negative")
+    if getattr(args, "precision", 0) > MAX_PRECISION:
+        parser.error(f"--precision must be at most {MAX_PRECISION}")
     try:
         return _HANDLERS[args.command](args)
     except (ConfigError, TraceError, OSError) as exc:

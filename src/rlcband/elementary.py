@@ -96,7 +96,13 @@ _PI_CANDIDATES = 6
 
 
 def icos_array(lo: np.ndarray, hi: np.ndarray):
-    """Exact range enclosure of cos over each interval [lo, hi]; returns (lo, hi)."""
+    """Exact range enclosure of cos over each interval [lo, hi]; returns (lo, hi).
+
+    lo and hi may have any shape; the result has the same shape.
+    """
+    shape = np.shape(lo)
+    lo = np.ravel(lo)
+    hi = np.ravel(hi)
     _check_trig_range(lo, hi)
     out_lo = np.full(lo.shape, -1.0)
     out_hi = np.full(lo.shape, 1.0)
@@ -105,18 +111,15 @@ def icos_array(lo: np.ndarray, hi: np.ndarray):
     part = np.flatnonzero(hi - lo < TWO_PI.hi)
     lo = lo[part]
     hi = hi[part]
-    has_max = np.zeros(part.size, dtype=bool)
-    has_min = np.zeros(part.size, dtype=bool)
-    k_first = np.floor(lo / math.pi) - 1.0
-    for j in range(_PI_CANDIDATES):
-        k = k_first + j
-        # k*pi enclosed by directed products: the sign of k picks the endpoints.
-        m_lo = mul_down_array(k, np.where(k >= 0.0, PI.lo, PI.hi))
-        m_hi = mul_up_array(k, np.where(k >= 0.0, PI.hi, PI.lo))
-        hit = (m_lo <= hi) & (m_hi >= lo)
-        even = np.fmod(k, 2.0) == 0.0
-        has_max |= hit & even
-        has_min |= hit & ~even
+    # One row per candidate multiple k of pi, one column per argument.
+    k = np.floor(lo / math.pi) - 1.0 + np.arange(_PI_CANDIDATES)[:, None]
+    # k*pi enclosed by directed products: the sign of k picks the endpoints.
+    m_lo = mul_down_array(k, np.where(k >= 0.0, PI.lo, PI.hi))
+    m_hi = mul_up_array(k, np.where(k >= 0.0, PI.hi, PI.lo))
+    hit = (m_lo <= hi) & (m_hi >= lo)
+    even = np.fmod(k, 2.0) == 0.0
+    has_max = (hit & even).any(axis=0)
+    has_min = (hit & ~even).any(axis=0)
     c_lo = np.cos(lo)
     c_hi = np.cos(hi)
     out_lo[part] = np.where(
@@ -125,7 +128,7 @@ def icos_array(lo: np.ndarray, hi: np.ndarray):
     out_hi[part] = np.where(
         has_max, 1.0, np.minimum(1.0, _up2_array(np.maximum(c_lo, c_hi)))
     )
-    return out_lo, out_hi
+    return out_lo.reshape(shape), out_hi.reshape(shape)
 
 
 def isin_array(lo: np.ndarray, hi: np.ndarray):

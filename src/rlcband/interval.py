@@ -113,6 +113,10 @@ class Interval:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.lo >= 0.0 and o.lo >= 0.0:
+            # Non-negative operands: lo*lo and hi*hi are the extreme exact
+            # products, and their directed roundings stay the extremes.
+            return self._checked(mul_down(self.lo, o.lo), mul_up(self.hi, o.hi))
         # Min/max over the four endpoint products, each rounded outward.
         pairs = (
             (self.lo, o.lo),

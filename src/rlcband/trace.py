@@ -46,7 +46,7 @@ class Trace:
             raise TraceError(
                 f"trace has {self.t.size} samples, need at least {MIN_SAMPLES}"
             )
-        if not np.all(np.diff(self.t) > 0.0):
+        if not np.all(self.t[1:] > self.t[:-1]):
             raise TraceError("trace timestamps must be strictly increasing")
 
     @property
@@ -154,9 +154,11 @@ def normalize(trace: Trace) -> Trace:
     scale = steady - baseline
     if scale <= 0.0:
         raise TraceError("no upward step from baseline to steady state")
+    v = v - baseline
+    v /= scale
     return Trace(
         t=trace.t - trace.t[onset],
-        v=(v - baseline) / scale,
+        v=v,
         label=trace.label,
     )
 
@@ -225,7 +227,9 @@ def check_enclosure(trace: Trace, band: ResponseBand) -> EnclosureReport:
     Band bounds are linearly interpolated at the sample times, so verdicts
     inherit grid-resolution error; sample traces near the band's grid
     spacing (and normalize first so t = 0 is the onset).  Samples outside
-    the band's time range are excluded from the verdict count.  A sample is
+    the band's time range are excluded from the verdict count; those inside
+    are one slice of the trace, and the report's times and values are views
+    of it.  A sample is
     inside iff lower - CHECK_SLACK <= v <= upper + CHECK_SLACK.
     """
     if trace.t[-1] < band.t[0] or trace.t[0] > band.t[-1]:
@@ -233,23 +237,28 @@ def check_enclosure(trace: Trace, band: ResponseBand) -> EnclosureReport:
             f"trace spans [{trace.t[0]:.6g}, {trace.t[-1]:.6g}] but the band "
             f"covers [{band.t[0]:.6g}, {band.t[-1]:.6g}]"
         )
-    mask = (trace.t >= band.t[0]) & (trace.t <= band.t[-1])
-    if not mask.any():
+    # trace.t increases, so the samples inside the grid are one slice
+    start = int(np.searchsorted(trace.t, band.t[0]))
+    stop = int(np.searchsorted(trace.t, band.t[-1], side="right"))
+    if start >= stop:
         raise TraceError("no trace samples fall inside the band grid")
-    times = trace.t[mask]
-    values = trace.v[mask]
+    times = trace.t[start:stop]
+    values = trace.v[start:stop]
     lower = np.interp(times, band.t, band.lower)
     upper = np.interp(times, band.t, band.upper)
-    verdicts = (values >= lower - CHECK_SLACK) & (values <= upper + CHECK_SLACK)
+    bound = np.subtract(lower, CHECK_SLACK)
+    verdicts = values >= bound
+    verdicts &= values <= np.add(upper, CHECK_SLACK, out=bound)
     total = int(times.size)
     inside = int(verdicts.sum())
     worst = None
     if inside < total:
-        widths = np.maximum(upper - lower, np.finfo(np.float64).tiny)
-        distance = np.maximum(lower - values, values - upper) / widths
-        distance[verdicts] = -np.inf
+        out = np.flatnonzero(~verdicts)
+        lo, hi, v = lower[out], upper[out], values[out]
+        widths = np.maximum(hi - lo, np.finfo(np.float64).tiny)
+        distance = np.maximum(lo - v, v - hi) / widths
         w = int(np.argmax(distance))
-        worst = (float(times[w]), float(distance[w]))
+        worst = (float(times[out[w]]), float(distance[w]))
     return EnclosureReport(
         total=total,
         inside=inside,

@@ -3,6 +3,11 @@
 * ``iexp``, ``icos`` and ``isin``: the scalar enclosures on libm's exp and
   cos, written independently of the array kernels that ``rlcband`` runs for
   every interval, with their own loop over candidate multiples of pi.
+* ``icos_array_loop``/``isin_array_loop``: the array trig kernels with a
+  Python loop over the candidate multiples of pi, one pair of directed
+  products per candidate, which the batched kernels must match bit for bit.
+* ``mul_eight``/``div_eight``: the interval product as min/max over all
+  eight directed endpoint products, and the quotient through it.
 * ``iatan``: a libm arctan enclosure under the same 2-ulp policy.
 * ``step_response_point``: the closed-form step response in point
   arithmetic.
@@ -16,7 +21,20 @@ import numpy as np
 
 from rlcband import HALF_PI, PI, TWO_PI, DomainError, Interval, IntervalError
 from rlcband.circuit import require_underdamped
-from rlcband.rounding import mul_down, mul_up, next_down, next_up
+from rlcband.elementary import _check_trig_range as _check_trig_range_arrays
+from rlcband.elementary import _down2_array, _up2_array
+from rlcband.rounding import (
+    add_down_array,
+    add_up_array,
+    div_down,
+    div_up,
+    mul_down,
+    mul_up,
+    mul_down_array,
+    mul_up_array,
+    next_down,
+    next_up,
+)
 
 
 def _down2(x: float) -> float:
@@ -81,6 +99,57 @@ def isin(x: Interval) -> Interval:
     """Exact range enclosure of sin over x, via sin(x) = cos(x - pi/2)."""
     _check_trig_range(x)
     return icos(x - HALF_PI)
+
+
+def icos_array_loop(lo: np.ndarray, hi: np.ndarray):
+    """Range enclosure of cos over 1-D lo/hi arrays, one candidate at a time."""
+    _check_trig_range_arrays(lo, hi)
+    out_lo = np.full(lo.shape, -1.0)
+    out_hi = np.full(lo.shape, 1.0)
+    part = np.flatnonzero(hi - lo < TWO_PI.hi)
+    lo = lo[part]
+    hi = hi[part]
+    has_max = np.zeros(part.size, dtype=bool)
+    has_min = np.zeros(part.size, dtype=bool)
+    k_first = np.floor(lo / math.pi) - 1.0
+    for j in range(6):
+        k = k_first + j
+        m_lo = mul_down_array(k, np.where(k >= 0.0, PI.lo, PI.hi))
+        m_hi = mul_up_array(k, np.where(k >= 0.0, PI.hi, PI.lo))
+        hit = (m_lo <= hi) & (m_hi >= lo)
+        even = np.fmod(k, 2.0) == 0.0
+        has_max |= hit & even
+        has_min |= hit & ~even
+    c_lo = np.cos(lo)
+    c_hi = np.cos(hi)
+    out_lo[part] = np.where(
+        has_min, -1.0, np.maximum(-1.0, _down2_array(np.minimum(c_lo, c_hi)))
+    )
+    out_hi[part] = np.where(
+        has_max, 1.0, np.minimum(1.0, _up2_array(np.maximum(c_lo, c_hi)))
+    )
+    return out_lo, out_hi
+
+
+def isin_array_loop(lo: np.ndarray, hi: np.ndarray):
+    """Range enclosure of sin over 1-D lo/hi arrays as cos(x - pi/2)."""
+    _check_trig_range_arrays(lo, hi)
+    return icos_array_loop(add_down_array(lo, -HALF_PI.hi), add_up_array(hi, -HALF_PI.lo))
+
+
+def mul_eight(x: Interval, y: Interval) -> Interval:
+    """x*y as min/max over the four endpoint pairs, each rounded both ways."""
+    pairs = ((x.lo, y.lo), (x.lo, y.hi), (x.hi, y.lo), (x.hi, y.hi))
+    lo = min(mul_down(a, b) for a, b in pairs)
+    hi = max(mul_up(a, b) for a, b in pairs)
+    return Interval._checked(lo, hi)
+
+
+def div_eight(x: Interval, y: Interval) -> Interval:
+    """x/y as x times the outward-rounded reciprocal of y, through mul_eight."""
+    if y.lo <= 0.0 <= y.hi:
+        raise IntervalError(f"divisor {y} contains zero")
+    return mul_eight(x, Interval._checked(div_down(1.0, y.hi), div_up(1.0, y.lo)))
 
 
 def iatan(x: Interval) -> Interval:

@@ -157,6 +157,27 @@ def test_negative_precision_is_usage_error(config_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["identify", "--mp", "0.5", "--precision", "2147483648"],
+    ["identify", "--mp", "0.5", "--precision", "768"],
+    ["metrics", "--config", "CONFIG", "--precision", "768"],
+], ids=["identify-2**31", "identify-768", "metrics-768"])
+def test_precision_above_767_is_usage_error(config_path, capsys, argv):
+    argv = [str(config_path) if a == "CONFIG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["rlcband: error: --precision must be at most 767"]
+
+
+def test_precision_767_is_accepted(capsys):
+    assert main(["identify", "--mp", "0.5", "--precision", "767"]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "--config", "CONFIG", "--precision", "6"],
     ["check", "--config", "CONFIG", "--trace", "t.csv", "--precision", "6"],
     ["metrics", "--config", "CONFIG", "--out", "o"],

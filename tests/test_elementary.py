@@ -322,3 +322,42 @@ def test_array_trig_pins_extrema_and_range():
         isin_array(np.array([-(2.0**53)]), np.array([0.0]))
     with pytest.raises(IntervalError, match="exp overflows the double range"):
         iexp_array(np.array([0.0]), np.array([800.0]))
+
+
+def _trig_cases():
+    """1-D lo/hi: degenerate, narrow, just under and over 2*pi wide, starting
+    anywhere, at multiples of pi (to a few ulp), and near +/-2**52."""
+    rng = np.random.default_rng(53)
+    n = 4000
+    k_pi = rng.integers(-10**6, 10**6, n) * math.pi
+    lo = np.concatenate([
+        rng.uniform(-1e4, 1e4, n),
+        k_pi + rng.integers(-4, 5, n) * np.spacing(k_pi),
+        2.0**52 - rng.uniform(0.0, 64.0, n),
+        -(2.0**52) + rng.uniform(4.0, 64.0, n),
+    ])
+    widths = [0.0, 1e-15, 1e-6, 1.0, math.pi, 6.283185307179585, TWO_PI.lo,
+              math.nextafter(TWO_PI.hi, 0.0), TWO_PI.hi, 7.0]
+    hi = np.minimum(lo + rng.choice(widths, lo.size), 2.0**52)
+    return lo, hi
+
+
+@pytest.mark.parametrize("f_array,f_loop", [
+    (icos_array, reference.icos_array_loop), (isin_array, reference.isin_array_loop),
+], ids=["cos", "sin"])
+def test_batched_trig_matches_candidate_loop(f_array, f_loop):
+    lo, hi = _trig_cases()
+    got = f_array(lo, hi)
+    want = f_loop(lo, hi)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("f_array", [icos_array, isin_array], ids=["cos", "sin"])
+def test_trig_of_2d_input_matches_rows(f_array):
+    lo, hi = (x.reshape(8, -1) for x in _trig_cases())
+    got_lo, got_hi = f_array(lo, hi)
+    rows = [f_array(a, b) for a, b in zip(lo, hi)]
+    assert got_lo.shape == got_hi.shape == lo.shape
+    assert got_lo.tobytes() == np.stack([r[0] for r in rows]).tobytes()
+    assert got_hi.tobytes() == np.stack([r[1] for r in rows]).tobytes()

@@ -2,6 +2,8 @@
 soundness/isotonicity/dependency properties."""
 
 import math
+import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,8 @@ from rlcband import (
     IntervalError,
     isqrt,
 )
+
+import reference
 
 finite = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -282,3 +286,39 @@ def test_outward_rounding_never_shrinks_exact_hull():
             assert Fraction(got.hi) >= exact_hi, name
             assert exact_lo - Fraction(got.lo) <= 2 * Fraction(math.ulp(got.lo)), name
             assert Fraction(got.hi) - exact_hi <= 2 * Fraction(math.ulp(got.hi)), name
+
+
+# Past this, the Dekker split in two_product overflows and a product's
+# rounding error is unknown.
+_SPLIT_EDGE = sys.float_info.max / 134217729.0
+_nonnegative = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=sys.float_info.min),  # subnormal
+    st.floats(min_value=sys.float_info.min, max_value=1e300),
+    st.floats(min_value=1e300, max_value=sys.float_info.max),  # near overflow
+    st.sampled_from([math.nextafter(_SPLIT_EDGE, 0.0), _SPLIT_EDGE,
+                     math.nextafter(_SPLIT_EDGE, math.inf)]),
+)
+
+
+@st.composite
+def nonnegative_intervals(draw):
+    a = draw(_nonnegative)
+    b = draw(_nonnegative)
+    return Interval(min(a, b), max(a, b))
+
+
+def _outcome(op, x, y):
+    try:
+        z = op(x, y)
+    except IntervalError as exc:
+        return "IntervalError", str(exc)
+    return z.lo, z.hi
+
+
+@given(nonnegative_intervals(), nonnegative_intervals())
+def test_nonnegative_product_and_quotient_match_eight_products(x, y):
+    # Non-negative operands take a two-product path; it must give what the
+    # eight directed products give, values or error alike.
+    assert _outcome(operator.mul, x, y) == _outcome(reference.mul_eight, x, y)
+    assert _outcome(operator.truediv, x, y) == _outcome(reference.div_eight, x, y)

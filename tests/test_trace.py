@@ -20,6 +20,8 @@ from rlcband import (
     write_verdicts_csv,
 )
 
+from rlcband.trace import CHECK_SLACK
+
 from conftest import make_step_trace, write_trace_csv
 
 XI_NOMINAL = 0.05389999999999999720
@@ -391,6 +393,58 @@ def test_enclosure_monotone_in_band_width(demo_band):
         wider = check_enclosure(tr, widened)
         assert wider.fraction_inside >= base.fraction_inside
         base = wider
+
+
+def _unit_band():
+    t = np.linspace(0.0, 1.0, 11)
+    return ResponseBand(t, np.zeros(11), np.full(11, 0.5), np.ones(11))
+
+
+def _mask_check(trace, band):
+    """check_enclosure's arrays and worst violation by the full-array mask formula."""
+    mask = (trace.t >= band.t[0]) & (trace.t <= band.t[-1])
+    times, values = trace.t[mask], trace.v[mask]
+    lower = np.interp(times, band.t, band.lower)
+    upper = np.interp(times, band.t, band.upper)
+    verdicts = (values >= lower - CHECK_SLACK) & (values <= upper + CHECK_SLACK)
+    widths = np.maximum(upper - lower, np.finfo(np.float64).tiny)
+    distance = np.maximum(lower - values, values - upper) / widths
+    distance[verdicts] = -np.inf
+    w = int(np.argmax(distance))
+    return times, values, lower, upper, verdicts, (float(times[w]), float(distance[w]))
+
+
+def test_enclosure_matches_mask_formula():
+    t = np.arange(-10, 61) / 50.0  # -0.2 to 1.2; 0 and 1 are samples
+    v = np.full(t.size, 0.5)
+    v[:3] = 100.0  # outside the grid: excluded, never the worst
+    v[-3:] = -100.0
+    inside_grid = np.flatnonzero((t >= 0.0) & (t <= 1.0))
+    # slack keeps the first two; the rest fail, two of them by 0.5 band widths
+    for i, value in zip(inside_grid[[1, 4, 9, 20, 30, 45]],
+                        (1.0 + 5e-10, -5e-10, 1.0 + 2e-9, 1.2, -0.5, 1.5)):
+        v[i] = value
+    trace = Trace(t, v)
+    band = _unit_band()
+    report = check_enclosure(trace, band)
+    times, values, lower, upper, verdicts, worst = _mask_check(trace, band)
+    assert np.shares_memory(report.times, trace.t)
+    assert np.shares_memory(report.values, trace.v)
+    for got, want in ((report.times, times), (report.values, values),
+                      (report.lower, lower), (report.upper, upper),
+                      (report.verdicts, verdicts)):
+        assert np.array_equal(got, want)
+    assert report.inside == int(verdicts.sum()) == report.total - 4
+    assert report.excluded == 20
+    assert report.worst_violation == worst == (float(t[inside_grid[30]]), 0.5)
+
+
+def test_enclosure_keeps_samples_on_the_grid_ends():
+    band = _unit_band()
+    trace = Trace(np.linspace(0.0, 1.0, 60), np.full(60, 0.5))
+    report = check_enclosure(trace, band)
+    assert (report.total, report.excluded) == (60, 0)
+    assert report.times[0] == band.t[0] and report.times[-1] == band.t[-1]
 
 
 def test_verdict_csv_round_trip(tmp_path, demo_band):
