@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of perfbench for one workload.
+
+Usage:
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR \\
+        --workload tolerance_sweep --metric op_p50_s --pairs 10 --seed 701
+
+DIR is the root of a checkout (each runs its own perfbench/run.py, from its
+own root). Pair i runs both sides with seed SEED + i; odd pairs run the
+parent first, even pairs the change first. The script prints each pair's
+values of the metric and its failed operations, each side's median and
+quartiles of every metric the runs report, how many pairs the change wins on
+the named metric, and whether the gain rule holds there: the change wins at
+least 9 in 10 pairs (ties count for neither) and its median beats the
+parent's by more than the parent's interquartile range. Whether lower or
+higher is better comes from the change's BENCHMARK.json. Nothing under
+either checkout is changed.
+"""
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def run_side(root, workload, seed, seconds, trace):
+    """One perfbench run in the checkout at root; its JSON report."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, timeout=30 * seconds + 600)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {root}: perfbench exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values):
+    return tuple(float(q) for q in np.percentile(values, [25, 50, 75]))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="parent checkout root")
+    parser.add_argument("--change", required=True, type=Path, help="changed checkout root")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--metric", required=True, help="metric the gain rule is tested on")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())
+    kind = "per_layer" if args.trace else "end_to_end"
+    better = {m["name"]: m["better"] for m in declared[kind]}
+    if args.metric not in better:
+        parser.error(f"{args.metric} is not a {kind} metric of BENCHMARK.json")
+    sign = -1.0 if better[args.metric] == "lower" else 1.0
+
+    reports = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.seed + i
+        sides = [("parent", args.parent), ("change", args.change)]
+        if i % 2:
+            sides.reverse()
+        for name, root in sides:
+            report = run_side(root, args.workload, seed, args.seconds, args.trace)
+            reports[name].append(report)
+            flags = "" if report["correct"] else " (incorrect)"
+            print(f"pair {i + 1} seed {seed} {name}: {args.metric} "
+                  f"{report['metrics'][args.metric]['value']:.6g}, failed "
+                  f"{report['failed']}/{report['attempted']}{flags}", flush=True)
+
+    # Every metric, for the no-regression side of the comparison.
+    for metric in reports["parent"][0]["metrics"]:
+        both = [quartiles([r["metrics"][metric]["value"] for r in reports[name]])
+                for name in ("parent", "change")]
+        print(f"{metric}: " + " -> ".join(f"{q50:.6g} ({q25:.6g}/{q75:.6g})"
+                                          for q25, q50, q75 in both))
+    parent = [r["metrics"][args.metric]["value"] for r in reports["parent"]]
+    change = [r["metrics"][args.metric]["value"] for r in reports["change"]]
+    wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    p25, p50, p75 = quartiles(parent)
+    c25, c50, c75 = quartiles(change)
+    print(f"parent: median {p50:.6g}, quartiles {p25:.6g}/{p75:.6g}")
+    print(f"change: median {c50:.6g}, quartiles {c25:.6g}/{c75:.6g} "
+          f"({100.0 * (c50 - p50) / p50:+.1f} %)")
+    need = math.ceil(0.9 * args.pairs)
+    holds = wins >= need and sign * (c50 - p50) > p75 - p25
+    print(f"change better in {wins} of {args.pairs} pairs (need {need}); median gap "
+          f"{abs(c50 - p50):.6g} against parent IQR {p75 - p25:.6g}: gain rule "
+          f"{'holds' if holds else 'does not hold'}")
+    return 0 if holds else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,7 @@ from .elementary import HALF_PI, icos_array, iexp_array, isqrt
 from .elementary import icos, iexp, isin  # noqa: F401
 from .errors import ConfigError, DomainError
 from .interval import Interval
-from .rounding import add_down_array, add_up_array, mul_down_array, mul_up_array
+from .rounding import add_array, mul_array
 
 _CONFIG_KEYS = {
     "r_ohms": "r_ohms",
@@ -250,32 +250,39 @@ def default_time_grid(
 _BAND_BLOCK = 4096
 
 
+# Rounding directions: an interval as a (2, m) array has its lower endpoints
+# in row 0, rounded down, and its upper endpoints in row 1, rounded up.
+_DOWN_UP = np.array([[-1.0], [1.0]])
+# The four products with t: decay.hi*t up and decay.lo*t down, whose
+# negations bound -decay*t, then omegad.lo*t down and omegad.hi*t up.
+_T_DIRS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
+_MINUS_HALF_PI = np.array([[-HALF_PI.hi], [-HALF_PI.lo]])
+
+
 def _band_block(decay: Interval, omegad: Interval, damp: Interval, t: np.ndarray):
     """Endpoints of 1 - exp(-decay*t) * (cos(omegad*t) + damp*sin(omegad*t)).
 
     decay, omegad and damp are positive, t >= 0 and the envelope is >= 0, so
     each interval product has its extremes at known endpoints: two directed
-    products each, where a general interval product needs eight.
+    products each, where a general interval product needs eight.  Each
+    interval operation is one call on a (2, m) array of endpoint rows.
     """
-    env_lo, env_hi = iexp_array(-mul_up_array(decay.hi, t), -mul_down_array(decay.lo, t))
-    phase_lo = mul_down_array(omegad.lo, t)
-    phase_hi = mul_up_array(omegad.hi, t)
-    # One call for cos and sin, as sin(x) = cos(x - pi/2).
-    (cos_lo, sin_lo), (cos_hi, sin_hi) = icos_array(
-        np.stack((phase_lo, add_down_array(phase_lo, -HALF_PI.hi))),
-        np.stack((phase_hi, add_up_array(phase_hi, -HALF_PI.lo))),
-    )
+    by_t = mul_array(np.array([[decay.hi], [decay.lo], [omegad.lo], [omegad.hi]]), t, _T_DIRS)
+    env = np.array(iexp_array(-by_t[0], -by_t[1]))
+    phase = by_t[2:]
+    # One call for cos and sin, as sin(x) = cos(x - pi/2): args[0] holds the
+    # lower endpoints of both arguments, args[1] the upper ones.
+    args = np.empty((2, 2, t.size))
+    args[:, 0] = phase
+    args[:, 1] = add_array(phase, _MINUS_HALF_PI, _DOWN_UP)
+    trig = np.array(icos_array(args[0], args[1]))
+    cos, sin = trig[:, 0], trig[:, 1]
     # damp > 0: an endpoint of sin pairs with the damp endpoint of its sign.
-    osc_lo = add_down_array(
-        cos_lo, mul_down_array(np.where(sin_lo >= 0.0, damp.lo, damp.hi), sin_lo)
-    )
-    osc_hi = add_up_array(
-        cos_hi, mul_up_array(np.where(sin_hi >= 0.0, damp.hi, damp.lo), sin_hi)
-    )
+    damp_rows = np.where(sin >= 0.0, [[damp.lo], [damp.hi]], [[damp.hi], [damp.lo]])
+    osc = add_array(cos, mul_array(damp_rows, sin, _DOWN_UP), _DOWN_UP)
     # envelope >= 0: likewise for the oscillation's endpoints.
-    decayed_lo = mul_down_array(np.where(osc_lo >= 0.0, env_lo, env_hi), osc_lo)
-    decayed_hi = mul_up_array(np.where(osc_hi >= 0.0, env_hi, env_lo), osc_hi)
-    return add_down_array(1.0, -decayed_hi), add_up_array(1.0, -decayed_lo)
+    decayed = mul_array(np.where(osc >= 0.0, env, env[::-1]), osc, _DOWN_UP)
+    return add_array(1.0, -decayed[::-1], _DOWN_UP)
 
 
 def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:

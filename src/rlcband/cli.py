@@ -44,6 +44,8 @@ EXIT_ENCLOSURE = 4
 
 # The most significant digits a double's exact decimal expansion has.
 MAX_PRECISION = 767
+# The largest band grid: 320 MB of arrays and about 0.7 GB of band.csv.
+MAX_GRID_POINTS = 10_000_000
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -250,6 +252,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "grid_points", 100) < 100:
         parser.error("--grid-points must be at least 100")
+    if getattr(args, "grid_points", 100) > MAX_GRID_POINTS:
+        parser.error(f"--grid-points must be at most {MAX_GRID_POINTS}")
     if getattr(args, "precision", 0) < 0:
         parser.error("--precision must not be negative")
     if getattr(args, "precision", 0) > MAX_PRECISION:

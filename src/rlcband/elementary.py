@@ -9,7 +9,11 @@ are returned exactly and inexact ones widened by a single ulp.
 sin and cos return exact range enclosures: the result is pinned to +/-1
 whenever a maximiser/minimiser may lie inside the argument interval,
 decided against a rigorous two-endpoint enclosure of pi, and clamped to
-[-1, 1].
+[-1, 1].  An argument narrower than 2*pi is tested against the four
+candidate multiples k*pi from k = floor(lo/math.pi) on, with plain products.
+The directed products that enclose k*pi can decide otherwise only where an
+argument ends one ulp outside a plain product (a tie), so they run only
+where an end lies within a few ulp of one.
 
 exp, sin and cos have one implementation, on intervals given as lo/hi
 float64 arrays (``iexp_array``, ``icos_array``, ``isin_array``) with numpy's
@@ -24,10 +28,8 @@ import numpy as np
 from .errors import DomainError, IntervalError
 from .interval import Interval
 from .rounding import (
-    add_down_array,
-    add_up_array,
-    mul_down_array,
-    mul_up_array,
+    add_array,
+    mul_array,
     next_down,
     next_up,
     sqrt_down,
@@ -90,11 +92,6 @@ def iexp_array(lo: np.ndarray, hi: np.ndarray):
     return np.maximum(0.0, _down2_array(np.exp(lo))), e_hi
 
 
-# An argument narrower than 2*pi meets at most 5 multiples of pi from
-# floor(lo/pi) - 1 on; one more covers rounding in the division.
-_PI_CANDIDATES = 6
-
-
 def icos_array(lo: np.ndarray, hi: np.ndarray):
     """Exact range enclosure of cos over each interval [lo, hi]; returns (lo, hi).
 
@@ -111,15 +108,41 @@ def icos_array(lo: np.ndarray, hi: np.ndarray):
     part = np.flatnonzero(hi - lo < TWO_PI.hi)
     lo = lo[part]
     hi = hi[part]
-    # One row per candidate multiple k of pi, one column per argument.
-    k = np.floor(lo / math.pi) - 1.0 + np.arange(_PI_CANDIDATES)[:, None]
-    # k*pi enclosed by directed products: the sign of k picks the endpoints.
-    m_lo = mul_down_array(k, np.where(k >= 0.0, PI.lo, PI.hi))
-    m_hi = mul_up_array(k, np.where(k >= 0.0, PI.hi, PI.lo))
+    # Candidate multiples k of pi, one row each.  f = floor(lo/math.pi) is
+    # floor(lo/pi) or one more: for lo > 0, lo/math.pi exceeds lo/pi, and for
+    # lo < 0 it falls short of it by under half an ulp, so it never rounds
+    # below the integer floor(lo/pi); |lo| <= 2**52 keeps it within 1 above.
+    # An argument narrower than 2*pi then meets multiples of pi in f..f+3 only.
+    f = np.floor(lo / math.pi)
+    k = f + np.arange(4.0)[:, None]
+    # k*pi lies between the directed products of k with the pi endpoints its
+    # sign picks.  Their plain products m_lo <= m_hi are the smaller and the
+    # larger of k*PI.lo and k*PI.hi, as rounding is monotone.  mul_down(k, c)
+    # is m_lo or the double below it, so mul_down(k, c) <= hi and m_lo <= hi
+    # differ only at a tie, hi == pred(m_lo); likewise mul_up(k, c) >= lo and
+    # m_hi >= lo only where lo == succ(m_hi).  Neighbours differ exactly, by at most
+    # |m| * 2**-52 < |k| * 2**-50, so the directed products run only where
+    # the gap is that small (k = 0 has the exact product 0).
+    k_lo = k * PI.lo
+    k_hi = k * PI.hi
+    m_lo = np.minimum(k_lo, k_hi)
+    m_hi = np.maximum(k_lo, k_hi)
+    near = np.abs(k) * 2.0**-50
+    gap = m_lo - hi
+    tie = (gap > 0.0) & (gap <= near)
+    if tie.any():
+        m_lo[tie] = mul_array(k[tie], np.where(k[tie] >= 0.0, PI.lo, PI.hi), -1.0)
+    gap = lo - m_hi
+    tie = (gap > 0.0) & (gap <= near)
+    if tie.any():
+        m_hi[tie] = mul_array(k[tie], np.where(k[tie] >= 0.0, PI.hi, PI.lo), 1.0)
     hit = (m_lo <= hi) & (m_hi >= lo)
-    even = np.fmod(k, 2.0) == 0.0
-    has_max = (hit & even).any(axis=0)
-    has_min = (hit & ~even).any(axis=0)
+    # Rows 0 and 2 share the parity of f, rows 1 and 3 the other one.
+    hit_f = hit[0] | hit[2]
+    hit_g = hit[1] | hit[3]
+    f_even = np.fmod(f, 2.0) == 0.0
+    has_max = np.where(f_even, hit_f, hit_g)
+    has_min = np.where(f_even, hit_g, hit_f)
     c_lo = np.cos(lo)
     c_hi = np.cos(hi)
     out_lo[part] = np.where(
@@ -134,7 +157,7 @@ def icos_array(lo: np.ndarray, hi: np.ndarray):
 def isin_array(lo: np.ndarray, hi: np.ndarray):
     """Range enclosure of sin over each [lo, hi] as cos(x - pi/2); returns (lo, hi)."""
     _check_trig_range(lo, hi)
-    return icos_array(add_down_array(lo, -HALF_PI.hi), add_up_array(hi, -HALF_PI.lo))
+    return icos_array(add_array(lo, -HALF_PI.hi, -1.0), add_array(hi, -HALF_PI.lo, 1.0))
 
 
 def _on_arrays(kernel, x: Interval) -> Interval:

@@ -21,9 +21,14 @@ underflows to 0 keeps the sign of its operands, so it never steps across 0
 on the side that sign rules out.
 
 The EFTs and the step decisions use operators only, so they broadcast over
-numpy arrays unchanged.  The scalar ops serve ``Interval``; the ``*_array``
-ops evaluate many endpoints at once (in the style of Rump's rounding-mode-free
-vector interval arithmetic) with ``np.nextafter`` for the outward step.
+numpy arrays unchanged.  The scalar ops serve ``Interval``; ``add_array`` and
+``mul_array`` evaluate many endpoints at once (in the style of Rump's
+rounding-mode-free vector interval arithmetic) with ``np.nextafter`` for the
+outward step.  They take the rounding direction as an array of -1 (down) and
++1 (up) that broadcasts, so one call rounds the lower-endpoint row of an
+interval array down and its upper-endpoint row up.  A product's step is
+the sign of its error term unless the product is subnormal or the split
+overflowed; the rest of the rule runs only when some product is.
 """
 
 import math
@@ -106,28 +111,36 @@ def _blind_step(r, a, b, up):
     return (r != 0.0) | (((a < 0.0) != (b < 0.0)) != up)
 
 
-def _mul_step(a, b, p, e, up):
-    """Whether p = fl(a*b), with two_product error e, must step one ulp down
-    (``up`` false) or up to bound the exact product."""
-    known = (e > 0.0) if up else (e < 0.0)
+def _mul_step(a, b, p, e, d):
+    """Whether p = fl(a*b), with two_product error e, must step one ulp in
+    direction d (-1 down, +1 up) to bound the exact product.
+
+    Where p is normal and e finite, e is the exact error and its sign alone
+    decides.  The mul ops test that case first and run this rule only where
+    p is subnormal or zero, or the split overflowed.
+    """
     # A nonzero e is a true error only for a normal product.
-    return (known & (abs(p) >= _MIN_NORMAL)) | (
-        _product_unreliable(a, b, p, e) & _blind_step(p, a, b, up)
+    return ((e * d > 0.0) & (abs(p) >= _MIN_NORMAL)) | (
+        _product_unreliable(a, b, p, e) & _blind_step(p, a, b, d > 0.0)
     )
 
 
 def mul_down(a: float, b: float) -> float:
     p, e = two_product(a, b)
-    if math.isinf(p) or not _mul_step(a, b, p, e, False):
+    if math.isinf(p):
         return p
-    return next_down(p)
+    if abs(p) >= _MIN_NORMAL and e == e:
+        return next_down(p) if e < 0.0 else p
+    return next_down(p) if _mul_step(a, b, p, e, -1.0) else p
 
 
 def mul_up(a: float, b: float) -> float:
     p, e = two_product(a, b)
-    if math.isinf(p) or not _mul_step(a, b, p, e, True):
+    if math.isinf(p):
         return p
-    return next_up(p)
+    if abs(p) >= _MIN_NORMAL and e == e:
+        return next_up(p) if e > 0.0 else p
+    return next_up(p) if _mul_step(a, b, p, e, 1.0) else p
 
 
 def _div_is_exact(q: float, b: float, a: float) -> bool:
@@ -169,25 +182,26 @@ def sqrt_up(x: float) -> float:
 
 
 # --- array endpoints: elementwise, same decisions as the scalar ops ---
+# The direction d is -1 (round down) or +1 (round up) and broadcasts against
+# the operands, so a (2, m) array with d = [[-1], [1]] holds an interval's
+# lower endpoints in row 0 and its upper endpoints in row 1.  d stays +-1
+# rather than +-inf: e * inf is NaN where e == 0.
 # An infinite product steps to the largest finite double or stays infinite,
 # which still bounds it; overflow is the caller's check.
 
 
-def add_down_array(a, b) -> np.ndarray:
+def add_array(a, b, d) -> np.ndarray:
+    """a + b rounded in direction d."""
     s, e = two_sum(a, b)
-    return np.where(e < 0.0, np.nextafter(s, -np.inf), s)
+    return np.nextafter(s, np.where(e * d > 0.0, d * np.inf, s))
 
 
-def add_up_array(a, b) -> np.ndarray:
-    s, e = two_sum(a, b)
-    return np.where(e > 0.0, np.nextafter(s, np.inf), s)
-
-
-def mul_down_array(a, b) -> np.ndarray:
+def mul_array(a, b, d) -> np.ndarray:
+    """a * b rounded in direction d."""
     p, e = two_product(a, b)
-    return np.where(_mul_step(a, b, p, e, False), np.nextafter(p, -np.inf), p)
-
-
-def mul_up_array(a, b) -> np.ndarray:
-    p, e = two_product(a, b)
-    return np.where(_mul_step(a, b, p, e, True), np.nextafter(p, np.inf), p)
+    step = e * d > 0.0
+    # A zero factor gives an exact zero, which the sign of e (0) leaves in
+    # place; testing for it keeps a grid's t = 0 off the full rule.
+    if ((abs(p) < _MIN_NORMAL) | (e != e)).any() and _product_unreliable(a, b, p, e).any():
+        step = _mul_step(a, b, p, e, d)
+    return np.nextafter(p, np.where(step, d * np.inf, p))

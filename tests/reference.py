@@ -3,9 +3,15 @@
 * ``iexp``, ``icos`` and ``isin``: the scalar enclosures on libm's exp and
   cos, written independently of the array kernels that ``rlcband`` runs for
   every interval, with their own loop over candidate multiples of pi.
+* ``add_down_array``/``add_up_array``/``mul_down_array``/``mul_up_array``:
+  the fixed-direction array endpoint ops, each evaluating the whole step
+  rule at every element.
 * ``icos_array_loop``/``isin_array_loop``: the array trig kernels with a
-  Python loop over the candidate multiples of pi, one pair of directed
+  Python loop over 6 candidate multiples of pi, one pair of directed
   products per candidate, which the batched kernels must match bit for bit.
+* ``band_block``: the band kernel with one fixed-direction call per endpoint
+  and the looped trig kernels, which ``circuit._band_block`` must match bit
+  for bit.
 * ``mul_eight``/``div_eight``: the interval product as min/max over all
   eight directed endpoint products, and the quotient through it.
 * ``iatan``: a libm arctan enclosure under the same 2-ulp policy.
@@ -22,18 +28,17 @@ import numpy as np
 from rlcband import HALF_PI, PI, TWO_PI, DomainError, Interval, IntervalError
 from rlcband.circuit import require_underdamped
 from rlcband.elementary import _check_trig_range as _check_trig_range_arrays
-from rlcband.elementary import _down2_array, _up2_array
+from rlcband.elementary import _down2_array, _up2_array, iexp_array
 from rlcband.rounding import (
-    add_down_array,
-    add_up_array,
+    _MIN_NORMAL,
     div_down,
     div_up,
     mul_down,
     mul_up,
-    mul_down_array,
-    mul_up_array,
     next_down,
     next_up,
+    two_product,
+    two_sum,
 )
 
 
@@ -101,6 +106,34 @@ def isin(x: Interval) -> Interval:
     return icos(x - HALF_PI)
 
 
+def add_down_array(a, b) -> np.ndarray:
+    s, e = two_sum(a, b)
+    return np.where(e < 0.0, np.nextafter(s, -np.inf), s)
+
+
+def add_up_array(a, b) -> np.ndarray:
+    s, e = two_sum(a, b)
+    return np.where(e > 0.0, np.nextafter(s, np.inf), s)
+
+
+def _mul_step(a, b, p, e, up):
+    """The product step rule, with the subnormal/split-overflow arm everywhere."""
+    known = (e > 0.0) if up else (e < 0.0)
+    unreliable = (e != e) | ((abs(p) < _MIN_NORMAL) & (a != 0.0) & (b != 0.0))
+    blind = (p != 0.0) | (((a < 0.0) != (b < 0.0)) != up)
+    return (known & (abs(p) >= _MIN_NORMAL)) | (unreliable & blind)
+
+
+def mul_down_array(a, b) -> np.ndarray:
+    p, e = two_product(a, b)
+    return np.where(_mul_step(a, b, p, e, False), np.nextafter(p, -np.inf), p)
+
+
+def mul_up_array(a, b) -> np.ndarray:
+    p, e = two_product(a, b)
+    return np.where(_mul_step(a, b, p, e, True), np.nextafter(p, np.inf), p)
+
+
 def icos_array_loop(lo: np.ndarray, hi: np.ndarray):
     """Range enclosure of cos over 1-D lo/hi arrays, one candidate at a time."""
     _check_trig_range_arrays(lo, hi)
@@ -135,6 +168,25 @@ def isin_array_loop(lo: np.ndarray, hi: np.ndarray):
     """Range enclosure of sin over 1-D lo/hi arrays as cos(x - pi/2)."""
     _check_trig_range_arrays(lo, hi)
     return icos_array_loop(add_down_array(lo, -HALF_PI.hi), add_up_array(hi, -HALF_PI.lo))
+
+
+def band_block(decay: Interval, omegad: Interval, damp: Interval, t: np.ndarray):
+    """Endpoints of 1 - exp(-decay*t) * (cos(omegad*t) + damp*sin(omegad*t)),
+    one fixed-direction call per endpoint of each interval operation."""
+    env_lo, env_hi = iexp_array(-mul_up_array(decay.hi, t), -mul_down_array(decay.lo, t))
+    phase_lo = mul_down_array(omegad.lo, t)
+    phase_hi = mul_up_array(omegad.hi, t)
+    cos_lo, cos_hi = icos_array_loop(phase_lo, phase_hi)
+    sin_lo, sin_hi = isin_array_loop(phase_lo, phase_hi)
+    osc_lo = add_down_array(
+        cos_lo, mul_down_array(np.where(sin_lo >= 0.0, damp.lo, damp.hi), sin_lo)
+    )
+    osc_hi = add_up_array(
+        cos_hi, mul_up_array(np.where(sin_hi >= 0.0, damp.hi, damp.lo), sin_hi)
+    )
+    decayed_lo = mul_down_array(np.where(osc_lo >= 0.0, env_lo, env_hi), osc_lo)
+    decayed_hi = mul_up_array(np.where(osc_hi >= 0.0, env_hi, env_lo), osc_hi)
+    return add_down_array(1.0, -decayed_hi), add_up_array(1.0, -decayed_lo)
 
 
 def mul_eight(x: Interval, y: Interval) -> Interval:

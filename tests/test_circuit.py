@@ -27,6 +27,7 @@ from rlcband import (
     write_band_csv,
 )
 
+import reference
 from reference import icos, iexp, isin, simulate_ode_point, step_response_point
 
 # oracle: nominal parameters for R=100+7.8 ohm, L=0.1 H, C=100 nF
@@ -285,6 +286,51 @@ def test_band_matches_scalar_reference(tols):
     assert np.max(np.abs(band.lower - lower)) <= tol
     assert np.max(np.abs(band.upper - upper)) <= tol
     assert band.lower[0] <= 0.0 <= band.upper[0]
+
+
+def _kernel_reference(params, grid):
+    """The band through reference.band_block, in one call for the whole grid."""
+    one = Interval.point(1.0)
+    decay = params.xi * params.omega0
+    damp = params.xi / isqrt(one - params.xi * params.xi)
+    return reference.band_block(decay, params.omegad, damp, grid)
+
+
+@pytest.mark.parametrize("points", [400, 2000, 20000, 2 * 4096 + 1])
+def test_band_bits_match_fixed_direction_kernel(demo_params, points):
+    # 2*4096 + 1 points end the grid one point into a third block.
+    grid = default_time_grid(demo_params, points)
+    band = step_response_band(demo_params, grid)
+    lower, upper = _kernel_reference(demo_params, grid)
+    assert band.lower.tobytes() == lower.tobytes()
+    assert band.upper.tobytes() == upper.tobytes()
+
+
+def _sweep_specs(n, seed):
+    """Underdamped boxes over tolerance_sweep's ranges: L in [1 mH, 1 H] and
+    C in [1 nF, 10 uF] log-uniform, nominal xi in [0.02, 0.5], winding
+    resistance 2-20 % of the total and each tolerance in [1 %, 20 %]."""
+    rng = np.random.default_rng(seed)
+    l = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    c = 10.0 ** rng.uniform(-9.0, -5.0, n)
+    r_total = 2.0 * rng.uniform(0.02, 0.5, n) * np.sqrt(l / c)
+    share = rng.uniform(0.02, 0.2, n)
+    tol = rng.uniform(0.01, 0.2, (4, n))
+    return [CircuitSpec(r_ohms=float(r_total[i] * (1.0 - share[i])), r_tol=float(tol[0, i]),
+                        rl_ohms=float(r_total[i] * share[i]), rl_tol=float(tol[1, i]),
+                        l_henries=float(l[i]), l_tol=float(tol[2, i]),
+                        c_farads=float(c[i]), c_tol=float(tol[3, i]))
+            for i in range(n)]
+
+
+def test_band_bits_match_fixed_direction_kernel_on_sweep_boxes():
+    for spec in _sweep_specs(128, 97):
+        params = derive_params(spec)
+        grid = default_time_grid(params, 400)
+        band = step_response_band(params, grid)
+        lower, upper = _kernel_reference(params, grid)
+        assert band.lower.tobytes() == lower.tobytes(), spec
+        assert band.upper.tobytes() == upper.tobytes(), spec
 
 
 def test_band_survives_envelope_underflow(demo_params):

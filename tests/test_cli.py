@@ -141,6 +141,42 @@ def test_grid_points_floor(config_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "metrics", "check"])
+@pytest.mark.parametrize("points", [10**13, 10**20])
+def test_grid_points_above_bound_is_usage_error(config_path, tmp_path, capsys, monkeypatch,
+                                                command, points):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "default_time_grid", no_grid)
+    argv = [command, "--config", str(config_path), "--grid-points", str(points)]
+    if command == "check":
+        argv += ["--trace", str(tmp_path / "missing.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"rlcband: error: --grid-points must be at most {cli.MAX_GRID_POINTS}"]
+
+
+def test_grid_points_bound_is_accepted(config_path, monkeypatch):
+    seen = []
+
+    def grid(params, points, t_end_mult):
+        seen.append(points)
+
+    def no_band(params, grid):
+        raise rlcband.DomainError("stop after the grid")
+
+    monkeypatch.setattr(cli, "default_time_grid", grid)
+    monkeypatch.setattr(cli, "step_response_band", no_band)
+    argv = ["metrics", "--config", str(config_path), "--grid-points", str(cli.MAX_GRID_POINTS)]
+    assert main(argv) == 3
+    assert seen == [cli.MAX_GRID_POINTS]
+
+
 @pytest.mark.parametrize("argv", [
     ["identify", "--mp", "0.5", "--precision", "-1"],
     ["metrics", "--config", "CONFIG", "--precision", "-2"],

@@ -361,3 +361,78 @@ def test_trig_of_2d_input_matches_rows(f_array):
     assert got_lo.shape == got_hi.shape == lo.shape
     assert got_lo.tobytes() == np.stack([r[0] for r in rows]).tobytes()
     assert got_hi.tobytes() == np.stack([r[1] for r in rows]).tobytes()
+
+
+def _pi_ends(k):
+    """The pi endpoints whose directed products with k enclose k*pi."""
+    return np.where(k >= 0.0, PI.lo, PI.hi), np.where(k >= 0.0, PI.hi, PI.lo)
+
+
+def _tie_cases():
+    """1-D lo/hi that end one ulp outside a plain product k*pi endpoint, for
+    k of both signs, then negative ones a period wide that start within a few
+    ulp of k*pi or at the first double above k*pi.  Returns lo, hi and the k
+    of each part."""
+    rng = np.random.default_rng(71)
+    n = 6000
+    widths = np.array([0.0, 1e-9, 1.0, 3.0, 6.0])
+    k = rng.integers(-2**40, 2**40, n).astype(np.float64)
+    c_lo, c_hi = _pi_ends(k)
+    below = np.nextafter(k * c_lo, -np.inf)  # hi == pred(fl(k*pi_lo))
+    above = np.nextafter(k * c_hi, np.inf)  # lo == succ(fl(k*pi_hi))
+    w = rng.choice(widths, n)
+    kn = -rng.integers(1, 2**40, n).astype(np.float64)
+    start = kn * math.pi + rng.integers(-6, 7, n) * np.spacing(kn * math.pi)
+    ka = -rng.integers(1, 2**40, n).astype(np.float64)
+    mpmath.mp.prec = 200
+    first = []
+    for kf in ka:
+        x = float(kf * mpmath.pi)
+        while mpmath.mpf(x) <= kf * mpmath.pi:
+            x = math.nextafter(x, math.inf)
+        while mpmath.mpf(math.nextafter(x, -math.inf)) > kf * mpmath.pi:
+            x = math.nextafter(x, -math.inf)
+        first.append(x)
+    start = np.concatenate([start, first])
+    lo = np.concatenate([below - w, above, start])
+    hi = np.concatenate([below, above + w, start + math.nextafter(TWO_PI.hi, 0.0)])
+    return lo, hi, (k, k, np.concatenate([kn, ka]))
+
+
+def test_trig_ties_and_candidate_window_match_candidate_loop():
+    lo, hi, (k_below, k_above, k_near) = _tie_cases()
+    n, m = k_below.size, k_above.size
+    # The set holds ties that the directed product decides the other way
+    # than the plain one, on both ends and for k of both signs.
+    c_lo, _ = _pi_ends(k_below)
+    at = hi[:n] == np.nextafter(k_below * c_lo, -np.inf)
+    flips = at & (reference.mul_down_array(k_below, c_lo) <= hi[:n])
+    assert np.count_nonzero(flips & (k_below < 0)) > 50
+    assert np.count_nonzero(flips & (k_below > 0)) > 50
+    _, c_hi = _pi_ends(k_above)
+    at = lo[n:n + m] == np.nextafter(k_above * c_hi, np.inf)
+    flips = at & (reference.mul_up_array(k_above, c_hi) >= lo[n:n + m])
+    assert np.count_nonzero(flips & (k_above < 0)) > 50
+    assert np.count_nonzero(flips & (k_above > 0)) > 50
+    # Where a negative lo lies above k*pi but below k*math.pi, lo/math.pi
+    # lies below k, yet the division rounds back to k, so floor(lo/math.pi)
+    # does not undercount ...
+    lo_n, hi_n = lo[n + m:], hi[n + m:]
+    mpmath.mp.prec = 200
+    inside = np.array([k * mpmath.pi < x < k * mpmath.mpf(math.pi)
+                       for x, k in zip(lo_n, k_near)])
+    assert np.count_nonzero(inside) > 100
+    assert np.all(np.floor(lo_n[inside] / math.pi) == k_near[inside])
+    # ... and the fourth candidate, f + 3, is met where lo lies just below a
+    # multiple of pi.
+    f3 = np.floor(lo_n / math.pi) + 3.0
+    f3_lo, f3_hi = _pi_ends(f3)
+    met = ((reference.mul_down_array(f3, f3_lo) <= hi_n)
+           & (reference.mul_up_array(f3, f3_hi) >= lo_n))
+    assert np.count_nonzero(met) > 100
+    for f_array, f_loop in ((icos_array, reference.icos_array_loop),
+                            (isin_array, reference.isin_array_loop)):
+        got = f_array(lo, hi)
+        want = f_loop(lo, hi)
+        assert got[0].tobytes() == want[0].tobytes(), f_array.__name__
+        assert got[1].tobytes() == want[1].tobytes(), f_array.__name__
