@@ -28,7 +28,7 @@ from .elementary import HALF_PI, icos_array, iexp_array, isqrt
 from .elementary import icos, iexp, isin  # noqa: F401
 from .errors import ConfigError, DomainError
 from .interval import Interval
-from .rounding import add_array, mul_array
+from .rounding import DOWN_UP, add_array, mul_array
 
 _CONFIG_KEYS = {
     "r_ohms": "r_ohms",
@@ -166,10 +166,13 @@ def _param_intervals(r: Interval, l: Interval, c: Interval):
 def derive_params(spec: CircuitSpec) -> SecondOrderParams:
     """Map a toleranced circuit to second-order parameters.
 
-    Natural interval extension is tight here: each component appears once per
-    formula and all formulas are monotone over positive boxes.  The nominal
-    triple is computed through the same interval pipeline with degenerate
-    inputs and taken at the midpoint.
+    xi and omega0 name each component once and are monotone over positive
+    boxes, so their natural interval extension is tight.  omegad = omega0 *
+    sqrt(1 - xi^2) repeats L and C, so it is wider than the range (demo box:
+    [8685.28; 11773.9] against the corner hull [8688.66; 11771.4]), as is
+    the band's decay rate xi*omega0.  The nominal triple is computed through
+    the same interval pipeline with degenerate inputs and taken at the
+    midpoint.
     """
     xi, omega0, omegad = _param_intervals(
         spec.resistance_interval(),
@@ -250,9 +253,6 @@ def default_time_grid(
 _BAND_BLOCK = 4096
 
 
-# Rounding directions: an interval as a (2, m) array has its lower endpoints
-# in row 0, rounded down, and its upper endpoints in row 1, rounded up.
-_DOWN_UP = np.array([[-1.0], [1.0]])
 # The four products with t: decay.hi*t up and decay.lo*t down, whose
 # negations bound -decay*t, then omegad.lo*t down and omegad.hi*t up.
 _T_DIRS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
@@ -272,17 +272,15 @@ def _band_block(decay: Interval, omegad: Interval, damp: Interval, t: np.ndarray
     phase = by_t[2:]
     # One call for cos and sin, as sin(x) = cos(x - pi/2): args[0] holds the
     # lower endpoints of both arguments, args[1] the upper ones.
-    args = np.empty((2, 2, t.size))
-    args[:, 0] = phase
-    args[:, 1] = add_array(phase, _MINUS_HALF_PI, _DOWN_UP)
+    args = np.stack([phase, add_array(phase, _MINUS_HALF_PI, DOWN_UP)], axis=1)
     trig = np.array(icos_array(args[0], args[1]))
     cos, sin = trig[:, 0], trig[:, 1]
     # damp > 0: an endpoint of sin pairs with the damp endpoint of its sign.
     damp_rows = np.where(sin >= 0.0, [[damp.lo], [damp.hi]], [[damp.hi], [damp.lo]])
-    osc = add_array(cos, mul_array(damp_rows, sin, _DOWN_UP), _DOWN_UP)
+    osc = add_array(cos, mul_array(damp_rows, sin, DOWN_UP), DOWN_UP)
     # envelope >= 0: likewise for the oscillation's endpoints.
-    decayed = mul_array(np.where(osc >= 0.0, env, env[::-1]), osc, _DOWN_UP)
-    return add_array(1.0, -decayed[::-1], _DOWN_UP)
+    decayed = mul_array(np.where(osc >= 0.0, env, env[::-1]), osc, DOWN_UP)
+    return add_array(1.0, -decayed[::-1], DOWN_UP)
 
 
 def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:

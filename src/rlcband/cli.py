@@ -87,25 +87,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# (label, attribute) of the TransientSpecs and the SecondOrderParams rows.
+_SPEC_ROWS = (("Mp", "mp"), ("ts", "ts_rise"), ("tp", "tp"), ("ta", "ta"))
+_PARAM_ROWS = (("xi", "xi"), ("wd", "omegad"), ("w0", "omega0"))
+
+
 def _nominal_view(params):
     """Degenerate-interval view of the nominal parameter triple."""
-    return dataclasses.replace(
-        params,
-        xi=Interval.point(params.xi_nominal),
-        omega0=Interval.point(params.omega0_nominal),
-        omegad=Interval.point(params.omegad_nominal),
-    )
+    return dataclasses.replace(params, **{
+        attr: Interval.point(getattr(params, attr + "_nominal")) for _, attr in _PARAM_ROWS})
 
 
-def _metrics_rows(params, band, trace_specs, trace_params, digits):
-    p = digits
-    blank = ""
-
-    def cell(spec_attr, source):
-        if source is None:
-            return blank
-        return _fmt(getattr(source, spec_attr).midpoint(), p)
-
+def _metrics_rows(params, band, trace_specs, trace_params, p):
     specs = specs_from_params(params)
     mp_band = overshoot_from_band(band)
     try:
@@ -114,28 +107,16 @@ def _metrics_rows(params, band, trace_specs, trace_params, digits):
         # a wide box: the band's overshoot reaches 0 or 1, so xi is not defined
         xi_band = f"none: Mp {mp_band.render(p)} not in (0, 1)"
     nominal = specs_from_params(_nominal_view(params))
-    by_params, by_band = Pipeline.FROM_PARAMS.value, Pipeline.FROM_BAND.value
-    rows = []
-    rows.append(("Mp", _fmt(nominal.mp.midpoint(), p), cell("mp", trace_specs),
-                 specs.mp.render(p), by_params))
-    rows.append(("Mp", blank, blank, mp_band.render(p), by_band))
-    rows.append(("ts", _fmt(nominal.ts_rise.midpoint(), p), cell("ts_rise", trace_specs),
-                 specs.ts_rise.render(p), by_params))
-    rows.append(("tp", _fmt(nominal.tp.midpoint(), p), cell("tp", trace_specs),
-                 specs.tp.render(p), by_params))
-    rows.append(("ta", _fmt(nominal.ta.midpoint(), p), cell("ta", trace_specs),
-                 specs.ta.render(p), by_params))
-    dyn = []
-    dyn.append(("xi", _fmt(params.xi_nominal, p),
-                _fmt(trace_params.xi_nominal, p) if trace_params else blank,
-                params.xi.render(p), "components"))
-    dyn.append(("xi", blank, blank, xi_band, "band-inverted"))
-    dyn.append(("wd", _fmt(params.omegad_nominal, p),
-                _fmt(trace_params.omegad_nominal, p) if trace_params else blank,
-                params.omegad.render(p), "components"))
-    dyn.append(("w0", _fmt(params.omega0_nominal, p),
-                _fmt(trace_params.omega0_nominal, p) if trace_params else blank,
-                params.omega0.render(p), "components"))
+    rows = [(label, _fmt(getattr(nominal, attr).midpoint(), p),
+             _fmt(getattr(trace_specs, attr).midpoint(), p) if trace_specs else "",
+             getattr(specs, attr).render(p), Pipeline.FROM_PARAMS.value)
+            for label, attr in _SPEC_ROWS]
+    rows.insert(1, ("Mp", "", "", mp_band.render(p), Pipeline.FROM_BAND.value))
+    dyn = [(label, _fmt(getattr(params, attr + "_nominal"), p),
+            _fmt(getattr(trace_params, attr + "_nominal"), p) if trace_params else "",
+            getattr(params, attr).render(p), "components")
+           for label, attr in _PARAM_ROWS]
+    dyn.insert(1, ("xi", "", "", xi_band, "band-inverted"))
     return rows, dyn
 
 

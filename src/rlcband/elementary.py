@@ -9,7 +9,7 @@ are returned exactly and inexact ones widened by a single ulp.
 sin and cos return exact range enclosures: the result is pinned to +/-1
 whenever a maximiser/minimiser may lie inside the argument interval,
 decided against a rigorous two-endpoint enclosure of pi, and clamped to
-[-1, 1].  An argument narrower than 2*pi is tested against the four
+[-1, 1].  An argument narrower than 2*pi is tested against the three
 candidate multiples k*pi from k = floor(lo/math.pi) on, with plain products.
 The directed products that enclose k*pi can decide otherwise only where an
 argument ends one ulp outside a plain product (a tie), so they run only
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DomainError, IntervalError
 from .interval import Interval
 from .rounding import (
+    DOWN_UP,
     add_array,
     mul_array,
     next_down,
@@ -42,6 +43,8 @@ PI = Interval(math.pi, next_up(math.pi))
 TWO_PI = PI * 2.0
 HALF_PI = PI / 2.0
 
+# The pi endpoints that bound k*pi below (row 0) and above (row 1) for k >= 0.
+_PI_ROWS = np.array([[[PI.lo]], [[PI.hi]]])
 _UNIT = Interval(-1.0, 1.0)
 _MAX_TRIG_ARG = 2.0**52
 
@@ -112,37 +115,32 @@ def icos_array(lo: np.ndarray, hi: np.ndarray):
     # floor(lo/pi) or one more: for lo > 0, lo/math.pi exceeds lo/pi, and for
     # lo < 0 it falls short of it by under half an ulp, so it never rounds
     # below the integer floor(lo/pi); |lo| <= 2**52 keeps it within 1 above.
-    # An argument narrower than 2*pi then meets multiples of pi in f..f+3 only.
+    # An argument narrower than 2*pi meets true multiples of pi in f..f+2
+    # only.  The slop of the pi enclosure can make f+3 look met, but only
+    # where lo lies just below (f+1)*pi, and there f+1, of the same parity,
+    # is met too; so rows f..f+2 decide every output.
     f = np.floor(lo / math.pi)
-    k = f + np.arange(4.0)[:, None]
-    # k*pi lies between the directed products of k with the pi endpoints its
-    # sign picks.  Their plain products m_lo <= m_hi are the smaller and the
-    # larger of k*PI.lo and k*PI.hi, as rounding is monotone.  mul_down(k, c)
-    # is m_lo or the double below it, so mul_down(k, c) <= hi and m_lo <= hi
-    # differ only at a tie, hi == pred(m_lo); likewise mul_up(k, c) >= lo and
-    # m_hi >= lo only where lo == succ(m_hi).  Neighbours differ exactly, by at most
-    # |m| * 2**-52 < |k| * 2**-50, so the directed products run only where
-    # the gap is that small (k = 0 has the exact product 0).
-    k_lo = k * PI.lo
-    k_hi = k * PI.hi
-    m_lo = np.minimum(k_lo, k_hi)
-    m_hi = np.maximum(k_lo, k_hi)
-    near = np.abs(k) * 2.0**-50
-    gap = m_lo - hi
-    tie = (gap > 0.0) & (gap <= near)
+    k = f + np.arange(3.0)[:, None]
+    # m holds the plain products of k with the pi endpoints c whose directed
+    # products bound k*pi below (row 0) and above (row 1).  mul_down(k, c) is
+    # m[0] or the double below it, so mul_down(k, c) <= hi and m[0] <= hi
+    # differ only at a tie, hi == pred(m[0]); likewise mul_up(k, c) >= lo and
+    # m[1] >= lo only where lo == succ(m[1]).  Neighbours differ exactly, by
+    # at most |m| * 2**-52 < |k| * 2**-50, so the directed products run only
+    # where the gap is that small (k = 0 has the exact product 0).
+    c = np.where(k >= 0.0, _PI_ROWS, _PI_ROWS[::-1])
+    m = k * c
+    d = np.broadcast_to(DOWN_UP[:, None], m.shape)
+    gap = d * (np.array([hi, lo])[:, None] - m)
+    tie = (gap > 0.0) & (gap <= np.abs(k) * 2.0**-50)
     if tie.any():
-        m_lo[tie] = mul_array(k[tie], np.where(k[tie] >= 0.0, PI.lo, PI.hi), -1.0)
-    gap = lo - m_hi
-    tie = (gap > 0.0) & (gap <= near)
-    if tie.any():
-        m_hi[tie] = mul_array(k[tie], np.where(k[tie] >= 0.0, PI.hi, PI.lo), 1.0)
-    hit = (m_lo <= hi) & (m_hi >= lo)
-    # Rows 0 and 2 share the parity of f, rows 1 and 3 the other one.
+        m[tie] = mul_array(np.broadcast_to(k, m.shape)[tie], c[tie], d[tie])
+    hit = (m[0] <= hi) & (m[1] >= lo)
+    # Rows 0 and 2 share the parity of f, row 1 has the other one.
     hit_f = hit[0] | hit[2]
-    hit_g = hit[1] | hit[3]
     f_even = np.fmod(f, 2.0) == 0.0
-    has_max = np.where(f_even, hit_f, hit_g)
-    has_min = np.where(f_even, hit_g, hit_f)
+    has_max = np.where(f_even, hit_f, hit[1])
+    has_min = np.where(f_even, hit[1], hit_f)
     c_lo = np.cos(lo)
     c_hi = np.cos(hi)
     out_lo[part] = np.where(

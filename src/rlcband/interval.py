@@ -26,8 +26,6 @@ from .rounding import (
     sub_up,
 )
 
-_NumberOrInterval = "Interval | int | float"
-
 
 class Interval:
     """Closed interval [lo, hi]; degenerate (lo == hi) intervals are exact reals."""

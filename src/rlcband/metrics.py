@@ -107,9 +107,9 @@ def overshoot_from_band(band: ResponseBand) -> Interval:
     endpoint.
     """
     i_peak = int(np.argmax(band.nominal))
-    if i_peak == band.t.size - 1:
-        # the last point is the highest: accepted only where the response has
-        # settled at its final value without overshoot
+    if i_peak == band.t.size - 1 or band.nominal[i_peak] < 0.995:
+        # no peak before the last point, or none near 1: accepted only where
+        # the response has settled at its final value without overshoot
         if not abs(band.nominal[-1] - 1.0) <= 0.005:
             raise DomainError(
                 f"band grid ends at {band.t[-1]:.6g} before the nominal response "

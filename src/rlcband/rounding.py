@@ -143,51 +143,47 @@ def mul_up(a: float, b: float) -> float:
     return next_up(p) if _mul_step(a, b, p, e, 1.0) else p
 
 
-def _div_is_exact(q: float, b: float, a: float) -> bool:
-    p, e = two_product(q, b)
-    return not _product_unreliable(q, b, p, e) and p == a and e == 0.0
+def _product_is(a: float, b: float, c: float) -> bool:
+    p, e = two_product(a, b)
+    return not _product_unreliable(a, b, p, e) and p == c and e == 0.0
 
 
 def div_down(a: float, b: float) -> float:
     q = a / b
-    if math.isinf(q) or _div_is_exact(q, b, a) or not _blind_step(q, a, b, False):
+    if math.isinf(q) or _product_is(q, b, a) or not _blind_step(q, a, b, False):
         return q
     return next_down(q)
 
 
 def div_up(a: float, b: float) -> float:
     q = a / b
-    if math.isinf(q) or _div_is_exact(q, b, a) or not _blind_step(q, a, b, True):
+    if math.isinf(q) or _product_is(q, b, a) or not _blind_step(q, a, b, True):
         return q
     return next_up(q)
 
 
-def _sqrt_is_exact(r: float, x: float) -> bool:
-    p, e = two_product(r, r)
-    return not _product_unreliable(r, r, p, e) and p == x and e == 0.0
-
-
 def sqrt_down(x: float) -> float:
     r = math.sqrt(x)
-    if _sqrt_is_exact(r, x):
+    if _product_is(r, r, x):
         return r
     return next_down(r)
 
 
 def sqrt_up(x: float) -> float:
     r = math.sqrt(x)
-    if _sqrt_is_exact(r, x):
+    if _product_is(r, r, x):
         return r
     return next_up(r)
 
 
 # --- array endpoints: elementwise, same decisions as the scalar ops ---
 # The direction d is -1 (round down) or +1 (round up) and broadcasts against
-# the operands, so a (2, m) array with d = [[-1], [1]] holds an interval's
+# the operands, so a (2, m) array with d = DOWN_UP holds an interval's
 # lower endpoints in row 0 and its upper endpoints in row 1.  d stays +-1
 # rather than +-inf: e * inf is NaN where e == 0.
 # An infinite product steps to the largest finite double or stays infinite,
 # which still bounds it; overflow is the caller's check.
+DOWN_UP = np.array([[-1.0], [1.0]])
 
 
 def add_array(a, b, d) -> np.ndarray:

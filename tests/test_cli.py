@@ -287,6 +287,18 @@ def test_metrics_grid_before_final_value_exit_code(config_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: band grid ends at")
 
 
+@pytest.mark.parametrize("mult", ["1e-9", "1e-10", "1e-300"])
+def test_metrics_grid_before_nominal_rises_exit_code(config_path, capsys, mult):
+    # the grid ends before the nominal leaves 0 (or rounding noise near it)
+    rc = main(["metrics", "--config", str(config_path), "--t-end-mult", mult])
+    assert rc == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: band grid ends at")
+    assert "before the nominal response peaks" in err[0]
+
+
 def test_metrics_with_trace_column(tmp_path, config_path, capsys):
     tr = make_step_trace(
         0.10727654785269201, 10008.955478186701, 9951.196,

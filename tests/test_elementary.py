@@ -368,6 +368,13 @@ def _pi_ends(k):
     return np.where(k >= 0.0, PI.lo, PI.hi), np.where(k >= 0.0, PI.hi, PI.lo)
 
 
+def _meets(j, lo, hi):
+    """Whether [lo, hi] meets the enclosure of k*pi, k = floor(lo/math.pi) + j."""
+    k = np.floor(lo / math.pi) + j
+    c_lo, c_hi = _pi_ends(k)
+    return (reference.mul_down_array(k, c_lo) <= hi) & (reference.mul_up_array(k, c_hi) >= lo)
+
+
 def _tie_cases():
     """1-D lo/hi that end one ulp outside a plain product k*pi endpoint, for
     k of both signs, then negative ones a period wide that start within a few
@@ -423,13 +430,13 @@ def test_trig_ties_and_candidate_window_match_candidate_loop():
                        for x, k in zip(lo_n, k_near)])
     assert np.count_nonzero(inside) > 100
     assert np.all(np.floor(lo_n[inside] / math.pi) == k_near[inside])
-    # ... and the fourth candidate, f + 3, is met where lo lies just below a
-    # multiple of pi.
-    f3 = np.floor(lo_n / math.pi) + 3.0
-    f3_lo, f3_hi = _pi_ends(f3)
-    met = ((reference.mul_down_array(f3, f3_lo) <= hi_n)
-           & (reference.mul_up_array(f3, f3_hi) >= lo_n))
-    assert np.count_nonzero(met) > 100
+    # ... and f + 3 is met where lo lies just below a multiple of pi, but
+    # only together with f + 1, of the same parity, so the kernels test
+    # f..f+2 alone; no argument meets f - 1 or f + 4.
+    assert np.count_nonzero(_meets(3.0, lo_n, hi_n)) > 100
+    assert np.all(_meets(1.0, lo, hi)[_meets(3.0, lo, hi)])
+    assert not _meets(-1.0, lo, hi).any()
+    assert not _meets(4.0, lo, hi).any()
     for f_array, f_loop in ((icos_array, reference.icos_array_loop),
                             (isin_array, reference.isin_array_loop)):
         got = f_array(lo, hi)

@@ -235,6 +235,15 @@ def test_band_overshoot_last_point_peak(final, settled):
             overshoot_from_band(band)
 
 
+def test_band_overshoot_rejects_nominal_that_never_rises():
+    # the highest point of an all-zero nominal is its first one, which is no peak
+    t = np.linspace(0.0, 1.0, 300)
+    zero = np.zeros_like(t)
+    band = ResponseBand(t, zero - 0.05, zero, zero + 0.05)
+    with pytest.raises(DomainError, match="before the nominal response peaks"):
+        overshoot_from_band(band)
+
+
 def test_band_overshoot_rejects_grid_before_final_value(demo_params):
     from rlcband import step_response_band
 
