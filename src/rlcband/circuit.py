@@ -10,8 +10,8 @@ underdamped response of the capacitor voltage is
 where xi = (R/2)*sqrt(C/L), w0 = 1/sqrt(L*C) and wd = w0*sqrt(1-xi^2).
 Interval parameters propagate component tolerances and rounding through the
 same closed form; the resulting band is a guaranteed enclosure of every
-response the component box can produce.  The band is evaluated on lo/hi
-float64 arrays, one block of grid points at a time.
+response the component box can produce.  The band is evaluated on float64
+arrays of endpoint rows, one block of grid points at a time.
 """
 
 import json
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .elementary import HALF_PI, icos_array, iexp_array, isqrt
+from .elementary import _MINUS_HALF_PI, icos_array, iexp_array, isqrt
 # Not called here: the traced run of perfbench/worker.py looks these names up
 # on this module (tests/test_benchmark_lookups.py pins that they resolve).
 from .elementary import icos, iexp, isin  # noqa: F401
@@ -68,10 +68,6 @@ class CircuitSpec:
             tol = getattr(self, name)
             if not (0.0 <= tol < 1.0):
                 raise ValueError(f"{name} must be a fraction in [0, 1)")
-
-    @property
-    def r_total_nominal(self) -> float:
-        return self.r_ohms + self.rl_ohms
 
     def resistance_interval(self) -> Interval:
         """Effective series resistance: toleranced resistor plus winding."""
@@ -256,7 +252,6 @@ _BAND_BLOCK = 4096
 # The four products with t: decay.hi*t up and decay.lo*t down, whose
 # negations bound -decay*t, then omegad.lo*t down and omegad.hi*t up.
 _T_DIRS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
-_MINUS_HALF_PI = np.array([[-HALF_PI.hi], [-HALF_PI.lo]])
 
 
 def _band_block(decay: Interval, omegad: Interval, damp: Interval, t: np.ndarray):
@@ -268,12 +263,10 @@ def _band_block(decay: Interval, omegad: Interval, damp: Interval, t: np.ndarray
     interval operation is one call on a (2, m) array of endpoint rows.
     """
     by_t = mul_array(np.array([[decay.hi], [decay.lo], [omegad.lo], [omegad.hi]]), t, _T_DIRS)
-    env = np.array(iexp_array(-by_t[0], -by_t[1]))
+    env = iexp_array(-by_t[:2])
     phase = by_t[2:]
-    # One call for cos and sin, as sin(x) = cos(x - pi/2): args[0] holds the
-    # lower endpoints of both arguments, args[1] the upper ones.
-    args = np.stack([phase, add_array(phase, _MINUS_HALF_PI, DOWN_UP)], axis=1)
-    trig = np.array(icos_array(args[0], args[1]))
+    # One call for cos and sin, as sin(x) = cos(x - pi/2), on (2, 2, m) rows.
+    trig = icos_array(np.stack([phase, add_array(phase, _MINUS_HALF_PI, DOWN_UP)], axis=1))
     cos, sin = trig[:, 0], trig[:, 1]
     # damp > 0: an endpoint of sin pairs with the damp endpoint of its sign.
     damp_rows = np.where(sin >= 0.0, [[damp.lo], [damp.hi]], [[damp.hi], [damp.lo]])
@@ -298,9 +291,12 @@ def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:
     damp = params.xi / isqrt(one - params.xi * params.xi)
     lower = np.empty(grid.size)
     upper = np.empty(grid.size)
-    for start in range(0, grid.size, _BAND_BLOCK):
-        block = slice(start, start + _BAND_BLOCK)
-        lower[block], upper[block] = _band_block(decay, params.omegad, damp, grid[block])
+    # The Dekker split of a grid time near 1e300 overflows; mul_array already
+    # treats the NaN error term it leaves as unreliable, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, grid.size, _BAND_BLOCK):
+            block = slice(start, start + _BAND_BLOCK)
+            lower[block], upper[block] = _band_block(decay, params.omegad, damp, grid[block])
     nominal = step_response_curve(
         params.xi_nominal, params.omega0_nominal, params.omegad_nominal, grid
     )

@@ -15,10 +15,13 @@ The directed products that enclose k*pi can decide otherwise only where an
 argument ends one ulp outside a plain product (a tie), so they run only
 where an end lies within a few ulp of one.
 
-exp, sin and cos have one implementation, on intervals given as lo/hi
-float64 arrays (``iexp_array``, ``icos_array``, ``isin_array``) with numpy's
-exp and cos, whose faithfulness is checked against mpmath in the test
-suite.  ``iexp``, ``icos`` and ``isin`` run it on a 1-element array.
+exp, sin and cos have one implementation, on float64 arrays of endpoint
+rows (``iexp_array``, ``icos_array``, ``isin_array``) with numpy's exp and
+cos, whose faithfulness is checked against mpmath in the test suite.  Like
+every array kernel, each takes an array whose axis 0 holds the lower
+endpoints (row 0) and the upper ones (row 1), with any trailing shape, and
+returns that layout.  ``iexp``, ``icos`` and ``isin`` run it on one (2, 1)
+column.
 """
 
 import math
@@ -42,11 +45,14 @@ from .rounding import (
 PI = Interval(math.pi, next_up(math.pi))
 TWO_PI = PI * 2.0
 HALF_PI = PI / 2.0
+# -pi/2 as endpoint rows: x - pi/2 is add_array(x, _MINUS_HALF_PI, DOWN_UP).
+_MINUS_HALF_PI = np.array([[-HALF_PI.hi], [-HALF_PI.lo]])
 
 # The pi endpoints that bound k*pi below (row 0) and above (row 1) for k >= 0.
 _PI_ROWS = np.array([[[PI.lo]], [[PI.hi]]])
 _UNIT = Interval(-1.0, 1.0)
 _MAX_TRIG_ARG = 2.0**52
+_OUTWARD = DOWN_UP * np.inf
 
 
 def _down2(x: float) -> float:
@@ -57,16 +63,13 @@ def _up2(x: float) -> float:
     return next_up(next_up(x))
 
 
-def _down2_array(x: np.ndarray) -> np.ndarray:
-    return np.nextafter(np.nextafter(x, -np.inf), -np.inf)
+def _out2_array(x: np.ndarray) -> np.ndarray:
+    """(2, m) endpoint rows x widened 2 ulp outward."""
+    return np.nextafter(np.nextafter(x, _OUTWARD), _OUTWARD)
 
 
-def _up2_array(x: np.ndarray) -> np.ndarray:
-    return np.nextafter(np.nextafter(x, np.inf), np.inf)
-
-
-def _check_trig_range(lo: np.ndarray, hi: np.ndarray) -> None:
-    if max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0)) > _MAX_TRIG_ARG:
+def _check_trig_range(x: np.ndarray) -> None:
+    if np.abs(x).max(initial=0.0) > _MAX_TRIG_ARG:
         raise DomainError(
             "trig argument beyond 2**52 rad loses all reduction precision"
         )
@@ -86,31 +89,25 @@ def isqrt(x: Interval) -> Interval:
     return Interval(max(0.0, sqrt_down(x.lo)), sqrt_up(x.hi))
 
 
-def iexp_array(lo: np.ndarray, hi: np.ndarray):
-    """Enclosure of e**x over each interval [lo, hi] (monotone); returns (lo, hi)."""
+def iexp_array(x: np.ndarray) -> np.ndarray:
+    """Enclosure of e**x over endpoint rows x (monotone)."""
     with np.errstate(over="ignore"):
-        e_hi = _up2_array(np.exp(hi))
-    if np.isinf(e_hi).any():
+        e = _out2_array(np.exp(np.reshape(x, (2, -1))))
+    if np.isinf(e[1]).any():
         raise IntervalError("exp overflows the double range")
-    return np.maximum(0.0, _down2_array(np.exp(lo))), e_hi
+    return np.maximum(0.0, e).reshape(np.shape(x))
 
 
-def icos_array(lo: np.ndarray, hi: np.ndarray):
-    """Exact range enclosure of cos over each interval [lo, hi]; returns (lo, hi).
-
-    lo and hi may have any shape; the result has the same shape.
-    """
-    shape = np.shape(lo)
-    lo = np.ravel(lo)
-    hi = np.ravel(hi)
-    _check_trig_range(lo, hi)
-    out_lo = np.full(lo.shape, -1.0)
-    out_hi = np.full(lo.shape, 1.0)
+def icos_array(x: np.ndarray) -> np.ndarray:
+    """Exact range enclosure of cos over each column [lo, hi] of endpoint rows x."""
+    shape = np.shape(x)
+    x = np.reshape(x, (2, -1))
+    _check_trig_range(x)
+    out = DOWN_UP * np.ones(x.shape[1])
     # Arguments at least a period wide keep [-1, 1]; the rest are narrower
     # than 2*pi.
-    part = np.flatnonzero(hi - lo < TWO_PI.hi)
-    lo = lo[part]
-    hi = hi[part]
+    part = np.flatnonzero(x[1] - x[0] < TWO_PI.hi)
+    x = np.take(x, part, axis=1)
     # Candidate multiples k of pi, one row each.  f = floor(lo/math.pi) is
     # floor(lo/pi) or one more: for lo > 0, lo/math.pi exceeds lo/pi, and for
     # lo < 0 it falls short of it by under half an ulp, so it never rounds
@@ -119,7 +116,7 @@ def icos_array(lo: np.ndarray, hi: np.ndarray):
     # only.  The slop of the pi enclosure can make f+3 look met, but only
     # where lo lies just below (f+1)*pi, and there f+1, of the same parity,
     # is met too; so rows f..f+2 decide every output.
-    f = np.floor(lo / math.pi)
+    f = np.floor(x[0] / math.pi)
     k = f + np.arange(3.0)[:, None]
     # m holds the plain products of k with the pi endpoints c whose directed
     # products bound k*pi below (row 0) and above (row 1).  mul_down(k, c) is
@@ -131,37 +128,34 @@ def icos_array(lo: np.ndarray, hi: np.ndarray):
     c = np.where(k >= 0.0, _PI_ROWS, _PI_ROWS[::-1])
     m = k * c
     d = np.broadcast_to(DOWN_UP[:, None], m.shape)
-    gap = d * (np.array([hi, lo])[:, None] - m)
+    gap = d * (x[::-1, None] - m)
     tie = (gap > 0.0) & (gap <= np.abs(k) * 2.0**-50)
     if tie.any():
         m[tie] = mul_array(np.broadcast_to(k, m.shape)[tie], c[tie], d[tie])
-    hit = (m[0] <= hi) & (m[1] >= lo)
+    hit = (m[0] <= x[1]) & (m[1] >= x[0])
     # Rows 0 and 2 share the parity of f, row 1 has the other one.
     hit_f = hit[0] | hit[2]
     f_even = np.fmod(f, 2.0) == 0.0
     has_max = np.where(f_even, hit_f, hit[1])
     has_min = np.where(f_even, hit[1], hit_f)
-    c_lo = np.cos(lo)
-    c_hi = np.cos(hi)
-    out_lo[part] = np.where(
-        has_min, -1.0, np.maximum(-1.0, _down2_array(np.minimum(c_lo, c_hi)))
-    )
-    out_hi[part] = np.where(
-        has_max, 1.0, np.minimum(1.0, _up2_array(np.maximum(c_lo, c_hi)))
-    )
-    return out_lo.reshape(shape), out_hi.reshape(shape)
+    c = np.cos(x)
+    c = _out2_array(np.array([np.minimum(c[0], c[1]), np.maximum(c[0], c[1])]))
+    # Row by row: out[:, part] = ... scatters several times slower.
+    out[0][part], out[1][part] = np.where([has_min, has_max], DOWN_UP, np.clip(c, -1.0, 1.0))
+    return out.reshape(shape)
 
 
-def isin_array(lo: np.ndarray, hi: np.ndarray):
-    """Range enclosure of sin over each [lo, hi] as cos(x - pi/2); returns (lo, hi)."""
-    _check_trig_range(lo, hi)
-    return icos_array(add_array(lo, -HALF_PI.hi, -1.0), add_array(hi, -HALF_PI.lo, 1.0))
+def isin_array(x: np.ndarray) -> np.ndarray:
+    """Range enclosure of sin over endpoint rows x, as cos(x - pi/2)."""
+    _check_trig_range(x)
+    rows = add_array(np.reshape(x, (2, -1)), _MINUS_HALF_PI, DOWN_UP)
+    return icos_array(rows).reshape(np.shape(x))
 
 
 def _on_arrays(kernel, x: Interval) -> Interval:
-    """One interval through an array kernel, as a 1-element array."""
-    lo, hi = kernel(np.array([x.lo]), np.array([x.hi]))
-    return Interval(lo[0], hi[0])
+    """One interval through an array kernel, as a (2, 1) column."""
+    y = kernel(np.array([[x.lo], [x.hi]]))
+    return Interval(y[0, 0], y[1, 0])
 
 
 def iexp(x: Interval) -> Interval:

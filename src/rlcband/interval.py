@@ -22,8 +22,6 @@ from .rounding import (
     div_up,
     mul_down,
     mul_up,
-    sub_down,
-    sub_up,
 )
 
 
@@ -62,7 +60,7 @@ class Interval:
             raise IntervalError(f"nominal must be finite, got {nominal}")
         if not (0.0 <= tol_fraction < 1.0):
             raise ValueError(f"tolerance fraction must be in [0, 1), got {tol_fraction}")
-        f_lo = sub_down(1.0, tol_fraction)
+        f_lo = add_down(1.0, -tol_fraction)
         f_hi = add_up(1.0, tol_fraction)
         if nominal >= 0.0:
             return cls(mul_down(nominal, f_lo), mul_up(nominal, f_hi))
@@ -96,7 +94,7 @@ class Interval:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._checked(sub_down(self.lo, o.hi), sub_up(self.hi, o.lo))
+        return self._checked(add_down(self.lo, -o.hi), add_up(self.hi, -o.lo))
 
     def __rsub__(self, other) -> "Interval":
         o = self._coerce(other)
@@ -157,26 +155,14 @@ class Interval:
         """Interval hull (valid even for disjoint operands)."""
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    __contains__ = contains
-
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
     # --- queries ---
 
-    def width(self) -> float:
-        return sub_up(self.hi, self.lo)
-
     def midpoint(self) -> float:
         m = 0.5 * self.lo + 0.5 * self.hi
         return min(max(m, self.lo), self.hi)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.lo == self.hi
 
     # --- rendering ---
 

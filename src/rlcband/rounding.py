@@ -86,14 +86,6 @@ def add_up(a: float, b: float) -> float:
     return s
 
 
-def sub_down(a: float, b: float) -> float:
-    return add_down(a, -b)
-
-
-def sub_up(a: float, b: float) -> float:
-    return add_up(a, -b)
-
-
 def _product_unreliable(a, b, p, e):
     # NaN error term: the Dekker split overflowed.  Product in or below the
     # subnormal range with nonzero factors: the error term may itself have

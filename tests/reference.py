@@ -6,9 +6,11 @@
 * ``add_down_array``/``add_up_array``/``mul_down_array``/``mul_up_array``:
   the fixed-direction array endpoint ops, each evaluating the whole step
   rule at every element.
-* ``icos_array_loop``/``isin_array_loop``: the array trig kernels with a
-  Python loop over 6 candidate multiples of pi, one pair of directed
-  products per candidate, which the batched kernels must match bit for bit.
+* ``icos_array_loop``/``isin_array_loop``: the array trig kernels on separate
+  lo/hi arrays, with a Python loop over 6 candidate multiples of pi, one pair
+  of directed products per candidate and their own 2-ulp helpers
+  ``_down2_array``/``_up2_array``, which the batched kernels must match bit
+  for bit.
 * ``band_block``: the band kernel with one fixed-direction call per endpoint
   and the looped trig kernels, which ``circuit._band_block`` must match bit
   for bit.
@@ -27,8 +29,7 @@ import numpy as np
 
 from rlcband import HALF_PI, PI, TWO_PI, DomainError, Interval, IntervalError
 from rlcband.circuit import require_underdamped
-from rlcband.elementary import _check_trig_range as _check_trig_range_arrays
-from rlcband.elementary import _down2_array, _up2_array, iexp_array
+from rlcband.elementary import iexp_array
 from rlcband.rounding import (
     _MIN_NORMAL,
     div_down,
@@ -50,9 +51,22 @@ def _up2(x: float) -> float:
     return next_up(next_up(x))
 
 
+def _down2_array(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, -np.inf), -np.inf)
+
+
+def _up2_array(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, np.inf), np.inf)
+
+
 def _check_trig_range(x: Interval) -> None:
     if max(abs(x.lo), abs(x.hi)) > 2.0**52:
         raise DomainError(f"trig argument beyond 2**52 rad: {x}")
+
+
+def _check_trig_range_arrays(lo: np.ndarray, hi: np.ndarray) -> None:
+    if max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0)) > 2.0**52:
+        raise DomainError("trig argument beyond 2**52 rad loses all reduction precision")
 
 
 def iexp(x: Interval) -> Interval:
@@ -173,7 +187,8 @@ def isin_array_loop(lo: np.ndarray, hi: np.ndarray):
 def band_block(decay: Interval, omegad: Interval, damp: Interval, t: np.ndarray):
     """Endpoints of 1 - exp(-decay*t) * (cos(omegad*t) + damp*sin(omegad*t)),
     one fixed-direction call per endpoint of each interval operation."""
-    env_lo, env_hi = iexp_array(-mul_up_array(decay.hi, t), -mul_down_array(decay.lo, t))
+    env_lo, env_hi = iexp_array(np.array([-mul_up_array(decay.hi, t),
+                                          -mul_down_array(decay.lo, t)]))
     phase_lo = mul_down_array(omegad.lo, t)
     phase_hi = mul_up_array(omegad.hi, t)
     cos_lo, cos_hi = icos_array_loop(phase_lo, phase_hi)
@@ -238,7 +253,7 @@ def simulate_ode_point(spec, t_end: float, dt: float):
         raise ValueError(
             f"dt * omega0 = {dt * omega0:.3g} exceeds the accuracy guard of 0.1"
         )
-    r = spec.r_total_nominal
+    r = spec.r_ohms + spec.rl_ohms
     inv_c = 1.0 / spec.c_farads
     inv_l = 1.0 / spec.l_henries
     n = int(round(t_end / dt))

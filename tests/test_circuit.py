@@ -57,7 +57,7 @@ def test_spec_validation():
 def test_resistance_interval_includes_winding(demo_spec):
     r = demo_spec.resistance_interval()
     assert r.lo <= 95.0 + 7.41 and r.hi >= 105.0 + 8.19
-    assert demo_spec.r_total_nominal == pytest.approx(107.8)
+    assert r.lo <= demo_spec.r_ohms + demo_spec.rl_ohms <= r.hi
 
 
 def test_config_roundtrip(tmp_path, demo_spec):

@@ -98,6 +98,20 @@ def test_simulate_not_underdamped_exit_code(tmp_path):
     assert rc == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("command", ["metrics", "simulate"])
+def test_tiny_resistance_reports_one_error_line(tmp_path, capsys, command):
+    # The decay rate is so small that grid times reach 1e300, where the
+    # Dekker split of a grid time overflows; no numpy warning may leak.
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(dict(DEMO_CONFIG, r_ohms=1e-300, rl_ohms=1e-300)))
+    argv = [command, "--config", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_DOMAIN
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: trig argument beyond 2**52 rad loses all reduction precision"]
+
+
 def test_simulate_missing_config_exit_code(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "none.json"),
                "--out", str(tmp_path)])

@@ -25,6 +25,7 @@ from rlcband import (
     specs_from_params,
     xi_from_overshoot,
 )
+from rlcband.rounding import add_up
 
 XI_NOMINAL = 0.05389999999999999720
 WD_NOMINAL = 9985.46338434025800
@@ -58,8 +59,8 @@ def _close_to(iv, ref, tol):
 
 def test_overshoot_nominal():
     mp = overshoot_from_xi(Interval.point(XI_NOMINAL))
-    assert mp.contains(MP_NOMINAL)
-    assert mp.width() <= 1e-12
+    assert mp.lo <= MP_NOMINAL <= mp.hi
+    assert add_up(mp.hi, -mp.lo) <= 1e-12
 
 
 def test_overshoot_tends_to_one_for_small_damping():
@@ -94,8 +95,8 @@ def test_overshoot_antitone():
 
 def test_peak_time_nominal():
     tp = peak_time(Interval.point(WD_NOMINAL))
-    assert tp.contains(TP_NOMINAL)
-    assert tp.width() <= 1e-12
+    assert tp.lo <= TP_NOMINAL <= tp.hi
+    assert add_up(tp.hi, -tp.lo) <= 1e-12
 
 
 def test_peak_time_box():
@@ -106,8 +107,8 @@ def test_peak_time_box():
 
 def test_peak_time_degenerate_pi():
     tp = peak_time(Interval(math.pi, math.pi))
-    assert tp.contains(1.0)
-    assert tp.width() <= 4 * math.ulp(1.0)
+    assert tp.lo <= 1.0 <= tp.hi
+    assert add_up(tp.hi, -tp.lo) <= 4 * math.ulp(1.0)
 
 
 def test_peak_time_rejects_nonpositive():
@@ -119,8 +120,8 @@ def test_peak_time_rejects_nonpositive():
 
 def test_settling_nominal():
     ta = settling_time(Interval.point(XI_NOMINAL), Interval.point(1e4))
-    assert ta.contains(TA_NOMINAL)
-    assert ta.width() <= 1e-12
+    assert ta.lo <= TA_NOMINAL <= ta.hi
+    assert add_up(ta.hi, -ta.lo) <= 1e-12
 
 
 def test_settling_unit_product():
@@ -143,8 +144,8 @@ def test_settling_rejects_nonpositive():
 
 def test_rise_nominal():
     ts = rise_time(Interval.point(XI_NOMINAL), Interval.point(WD_NOMINAL))
-    assert ts.contains(TS_NOMINAL)
-    assert ts.width() <= 1e-12
+    assert ts.lo <= TS_NOMINAL <= ts.hi
+    assert add_up(ts.hi, -ts.lo) <= 1e-12
 
 
 def test_rise_box():
@@ -273,10 +274,10 @@ def test_band_overshoot_requires_peak_coverage(demo_params):
 def test_identify_experiment_point():
     params = identify(Interval.point(0.7125), Interval.point(TP_EXPERIMENT))
     assert abs(params.xi_nominal - XI_FROM_MP_EXPERIMENT) < 1e-12
-    assert params.xi.contains(XI_FROM_MP_EXPERIMENT)
+    assert params.xi.lo <= XI_FROM_MP_EXPERIMENT <= params.xi.hi
     assert abs(params.omegad_nominal - 9951.196) < 1e-6
     assert abs(params.omega0_nominal - W0_EXPERIMENT) < 1e-6
-    assert params.omega0.contains(W0_EXPERIMENT)
+    assert params.omega0.lo <= W0_EXPERIMENT <= params.omega0.hi
 
 
 def test_xi_inversion_interval_is_tight():
@@ -289,8 +290,8 @@ def test_identify_roundtrip_nominal():
     mp = overshoot_from_xi(Interval.point(XI_NOMINAL))
     tp = peak_time(Interval.point(WD_NOMINAL))
     params = identify(mp, tp)
-    assert params.xi.contains(XI_NOMINAL)
-    assert params.omegad.contains(WD_NOMINAL)
+    assert params.xi.lo <= XI_NOMINAL <= params.xi.hi
+    assert params.omegad.lo <= WD_NOMINAL <= params.omegad.hi
     assert abs(params.xi_nominal - XI_NOMINAL) < 1e-9
     assert abs(params.omegad_nominal - WD_NOMINAL) < 1e-6
 
@@ -313,5 +314,5 @@ def test_identify_roundtrip_containment_sweep():
             overshoot_from_xi(Interval.point(xi)),
             peak_time(Interval.point(wd)),
         )
-        assert params.xi.contains(xi)
-        assert params.omegad.contains(wd)
+        assert params.xi.lo <= xi <= params.xi.hi
+        assert params.omegad.lo <= wd <= params.omegad.hi

@@ -19,8 +19,6 @@ from rlcband.rounding import (
     next_up,
     sqrt_down,
     sqrt_up,
-    sub_down,
-    sub_up,
     two_product,
     two_sum,
 )
@@ -53,11 +51,10 @@ def test_two_product_error_is_exact():
     "down,up,op,sign_aware",
     [
         (add_down, add_up, lambda a, b: Fraction(a) + Fraction(b), True),
-        (sub_down, sub_up, lambda a, b: Fraction(a) - Fraction(b), True),
         (mul_down, mul_up, lambda a, b: Fraction(a) * Fraction(b), True),
         (div_down, div_up, lambda a, b: Fraction(a) / Fraction(b), False),
     ],
-    ids=["add", "sub", "mul", "div"],
+    ids=["add", "mul", "div"],
 )
 def test_directed_ops_bracket_exact(down, up, op, sign_aware):
     a_vals = _random_values(10000, 5)
@@ -79,7 +76,7 @@ def test_directed_ops_bracket_exact(down, up, op, sign_aware):
 
 def test_exact_operations_do_not_widen():
     assert add_down(1.0, 2.0) == 3.0 == add_up(1.0, 2.0)
-    assert sub_down(5.0, 5.0) == 0.0 == sub_up(5.0, 5.0)
+    assert add_down(5.0, -5.0) == 0.0 == add_up(5.0, -5.0)
     assert mul_down(0.25, 8.0) == 2.0 == mul_up(0.25, 8.0)
     assert div_down(1.0, 4.0) == 0.25 == div_up(1.0, 4.0)
     assert sqrt_down(9.0) == 3.0 == sqrt_up(9.0)
