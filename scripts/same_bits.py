@@ -1,0 +1,200 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two checkouts of rlcband, bit for bit.
+
+Usage:
+
+    python3 scripts/same_bits.py --parent DIR --change DIR
+
+DIR is the root of a checkout. Each side runs in its own subprocesses with
+its own ``src`` on PYTHONPATH and its own ``data/`` inputs; everything they
+write goes to a temporary directory, which is removed afterwards. The
+script prints one line per artefact, ``equal`` or ``different``, and exits 1
+if any artefact differs, else 0. The artefacts:
+
+* ``simulate`` on the demo circuit at 2 000 and 20 000 grid points:
+  ``band.csv`` and ``nominal.csv``;
+* ``check`` of the bundled trace at both grids: ``verdicts.csv``, and the
+  exit code with stdout;
+* the exit code and stdout of ``metrics --trace ... --precision 17`` and of
+  two ``identify --precision 17`` runs, one with ``--tp`` and one without;
+* one SHA-1 per quantity of a seeded sweep of 128 toleranced circuits:
+  the parameters, each formula spec, the 400-point band and its nominal
+  curve, the band overshoot and ``identify`` from the formula Mp and tp. The
+  parameters are hashed by the fields both sides have (xi, omega0, omegad
+  and their nominals), so a changed band shows as a band-only change;
+* one SHA-1 over the eight scalar directed ops (``add``/``mul``/``div``/
+  ``sqrt``, down and up) on 90 000 operand pairs that include +-0,
+  subnormals, +-max and +-inf. NaN results count as one value, and an
+  operation that raises counts as its exception's name.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+GRIDS = (2000, 20000)
+SWEEP_CIRCUITS = 128
+SWEEP_POINTS = 400
+SWEEP_SEED = 17
+IDENTIFY_ARGS = (
+    ("--mp", "0.6656,0.9230", "--tp", "3.1e-4,3.2e-4"),
+    ("--mp", "0.05,0.6"),
+)
+
+
+def _sweep_circuits():
+    """Underdamped circuits: L in [1 mH, 1 H], C in [1 nF, 10 uF] (log-uniform),
+    nominal xi in [0.02, 0.5], winding 2-20 % of the series resistance, each
+    tolerance in [1 %, 20 %]."""
+    from rlcband.circuit import CircuitSpec
+
+    rng = np.random.default_rng(SWEEP_SEED)
+    n = SWEEP_CIRCUITS
+    l = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    c = 10.0 ** rng.uniform(-9.0, -5.0, n)
+    xi = rng.uniform(0.02, 0.5, n)
+    share = rng.uniform(0.02, 0.2, n)
+    tol = rng.uniform(0.01, 0.2, (4, n))
+    r_total = 2.0 * xi * np.sqrt(l / c)
+    return [CircuitSpec(r_total[i] * (1.0 - share[i]), tol[0, i], r_total[i] * share[i], tol[1, i],
+                        l[i], tol[2, i], c[i], tol[3, i]) for i in range(n)]
+
+
+def _intervals(*xs):
+    return " ".join(f"{x.lo.hex()},{x.hi.hex()}" for x in xs)
+
+
+def _params_text(p):
+    return (_intervals(p.xi, p.omega0, p.omegad) + " "
+            + " ".join(float(v).hex() for v in (p.xi_nominal, p.omega0_nominal, p.omegad_nominal)))
+
+
+def sweep_digests():
+    """{quantity: SHA-1} over the sweep circuits, in this process's rlcband."""
+    from rlcband.circuit import default_time_grid, derive_params, step_response_band
+    from rlcband.metrics import identify, overshoot_from_band, specs_from_params
+
+    hashes = {}
+
+    def record(name, compute):
+        try:
+            text = compute()
+        except Exception as exc:  # the error is an output too
+            text = type(exc).__name__
+        hashes.setdefault(name, hashlib.sha1()).update(text.encode() + b"\n")
+
+    for spec in _sweep_circuits():
+        params = derive_params(spec)  # every sweep circuit is underdamped
+        record("params", lambda: _params_text(params))
+        specs = specs_from_params(params)
+        for attr in ("mp", "ts_rise", "tp", "ta"):
+            record(f"formula {attr}", lambda: _intervals(getattr(specs, attr)))
+        band = step_response_band(params, default_time_grid(params, SWEEP_POINTS))
+        record("band", lambda: (band.lower.tobytes() + band.upper.tobytes()).hex())
+        record("nominal", lambda: (band.t.tobytes() + band.nominal.tobytes()).hex())
+        record("band Mp", lambda: _intervals(overshoot_from_band(band)))
+        record("identify", lambda: _params_text(identify(specs.mp, specs.tp)))
+    return {f"sweep {name}": h.hexdigest() for name, h in hashes.items()}
+
+
+def _operands():
+    """300 doubles: +-0, +-smallest subnormal, +-smallest normal, +-max, +-inf,
+    a few exact small values and random ones over every binary exponent."""
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, tiny, np.finfo(float).tiny, np.finfo(float).max, np.inf, 1.0, 3.0, 0.1, 2.5]
+    rng = np.random.default_rng(SWEEP_SEED)
+    n = 300 - 2 * len(special)
+    random = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1074, 1024, n))
+    random *= rng.choice([-1.0, 1.0], n)
+    return [float(v) for v in special] + [-float(v) for v in special] + random.tolist()
+
+
+def scalar_ops_digest():
+    """{"scalar ops": SHA-1} of the eight directed ops on every operand pair."""
+    from rlcband import rounding
+
+    values = _operands()
+    h = hashlib.sha1()
+    for name in ("add", "mul", "div", "sqrt"):
+        for direction in ("down", "up"):
+            op = getattr(rounding, f"{name}_{direction}")
+            pairs = [(a,) for a in values] if name == "sqrt" else [(a, b) for a in values for b in values]
+            for args in pairs:
+                try:
+                    r = op(*args)
+                    text = "nan" if r != r else r.hex()
+                except (ArithmeticError, ValueError) as exc:
+                    text = type(exc).__name__
+                h.update(text.encode() + b"\n")
+    return {"scalar ops": h.hexdigest()}
+
+
+def _python(root, code, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(Path(__file__).parent)]))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=600)
+
+
+def _cli(root, work, *args):
+    """Exit code and stdout of one rlcband command."""
+    done = _python(root, "from rlcband.cli import run; run()", *args, cwd=work)
+    return f"exit {done.returncode}\n{done.stdout}"
+
+
+def _read(path):
+    return path.read_bytes() if path.exists() else None
+
+
+def artefacts(root, work):
+    """{artefact name: text or bytes} of the checkout at root, written under work."""
+    root = Path(root).resolve()
+    work.mkdir()
+    config = str(root / "data" / "demo_circuit.json")
+    trace = str(root / "data" / "experiment_trace.csv")
+    out = {}
+    for points in GRIDS:
+        grid = ("--config", config, "--grid-points", str(points))
+        _cli(root, work, "simulate", *grid, "--out", f"sim{points}")
+        for name in ("band.csv", "nominal.csv"):
+            out[f"simulate {points} {name}"] = _read(work / f"sim{points}" / name)
+        status = _cli(root, work, "check", *grid, "--trace", trace, "--out", f"check{points}")
+        out[f"check {points} verdicts.csv"] = _read(work / f"check{points}" / "verdicts.csv")
+        out[f"check {points} exit and stdout"] = status
+    out["metrics --trace stdout"] = _cli(root, work, "metrics", "--config", config,
+                                         "--trace", trace, "--precision", "17")
+    for args in IDENTIFY_ARGS:
+        out[f"identify {' '.join(args)} stdout"] = _cli(root, work, "identify", *args,
+                                                        "--precision", "17")
+    code = "import json, same_bits; print(json.dumps({**same_bits.sweep_digests(), **same_bits.scalar_ops_digest()}))"
+    done = _python(root, code, cwd=work)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {root}: sweep exited {done.returncode}:\n{done.stderr}")
+    out.update(json.loads(done.stdout))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="root of the parent checkout")
+    parser.add_argument("--change", required=True, help="root of the changed checkout")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = artefacts(args.parent, Path(tmp) / "parent")
+        change = artefacts(args.change, Path(tmp) / "change")
+    differ = 0
+    for name in sorted(parent.keys() | change.keys()):
+        same = name in parent and name in change and parent[name] == change[name]
+        differ += not same
+        print(f"{'equal' if same else 'different':<10} {name}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
