@@ -30,19 +30,11 @@ import numpy as np
 
 from .errors import DomainError, IntervalError
 from .interval import Interval
-from .rounding import (
-    DOWN_UP,
-    add_array,
-    mul_array,
-    next_down,
-    next_up,
-    sqrt_down,
-    sqrt_up,
-)
+from .rounding import DOWN_UP, add_array, mul_array, sqrt_down, sqrt_up
 
 # math.pi is the nearest double below the true pi, so [pi, nextafter(pi)]
 # is a rigorous enclosure.
-PI = Interval(math.pi, next_up(math.pi))
+PI = Interval(math.pi, math.nextafter(math.pi, math.inf))
 TWO_PI = PI * 2.0
 HALF_PI = PI / 2.0
 # -pi/2 as endpoint rows: x - pi/2 is add_array(x, _MINUS_HALF_PI, DOWN_UP).
@@ -55,12 +47,9 @@ _MAX_TRIG_ARG = 2.0**52
 _OUTWARD = DOWN_UP * np.inf
 
 
-def _down2(x: float) -> float:
-    return next_down(next_down(x))
-
-
-def _up2(x: float) -> float:
-    return next_up(next_up(x))
+def _out2(x: float, d: float) -> float:
+    """x widened 2 ulp in direction d (-1 down, +1 up)."""
+    return math.nextafter(math.nextafter(x, d * math.inf), d * math.inf)
 
 
 def _out2_array(x: np.ndarray) -> np.ndarray:
@@ -79,7 +68,7 @@ def iln(x: Interval) -> Interval:
     """Enclosure of ln(x) for strictly positive intervals."""
     if x.lo <= 0.0:
         raise DomainError(f"log requires a positive interval, got {x}")
-    return Interval(_down2(math.log(x.lo)), _up2(math.log(x.hi)))
+    return Interval(_out2(math.log(x.lo), -1.0), _out2(math.log(x.hi), 1.0))
 
 
 def isqrt(x: Interval) -> Interval:
@@ -178,6 +167,6 @@ def iacos(x: Interval) -> Interval:
     clamped = x.intersect(_UNIT)
     if clamped is None:
         raise DomainError(f"acos argument {x} does not meet [-1, 1]")
-    lo = max(0.0, _down2(math.acos(clamped.hi)))
-    hi = min(PI.hi, _up2(math.acos(clamped.lo)))
+    lo = max(0.0, _out2(math.acos(clamped.hi), -1.0))
+    hi = min(PI.hi, _out2(math.acos(clamped.lo), 1.0))
     return Interval(lo, hi)

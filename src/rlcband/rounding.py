@@ -2,7 +2,7 @@
 
 Strategy: compute each endpoint with ordinary IEEE-754 double arithmetic,
 decide via an error-free transformation whether the result is exact, and
-when it is not, step one unit in the last place in the outward direction.
+when it is not, step one unit in the last place in the rounding direction.
 This avoids global rounding-mode state, costs at most 1 ulp of slack per
 endpoint, and returns exact results exactly (e.g. 1 + 2 == 3, sqrt(4) == 2).
 
@@ -20,15 +20,16 @@ inexact, which only ever widens the interval.  A product or quotient that
 underflows to 0 keeps the sign of its operands, so it never steps across 0
 on the side that sign rules out.
 
-The EFTs and the step decisions use operators only, so they broadcast over
-numpy arrays unchanged.  The scalar ops serve ``Interval``; ``add_array`` and
-``mul_array`` evaluate many endpoints at once (in the style of Rump's
-rounding-mode-free vector interval arithmetic) with ``np.nextafter`` for the
-outward step.  They take the rounding direction as an array of -1 (down) and
-+1 (up) that broadcasts, so one call rounds the lower-endpoint row of an
-interval array down and its upper-endpoint row up.  A product's step is
-the sign of its error term unless the product is subnormal or the split
-overflowed; the rest of the rule runs only when some product is.
+Every operation is written once, over a rounding direction d (-1 down, +1
+up) whose step goes toward d * inf, with one step rule: a sum or a product
+steps where its error term e has e * d > 0, and a product whose error term
+is unreliable runs ``_mul_step``.  ``_directed(d)`` binds the scalar ops that
+serve ``Interval``: the ``*_down`` ops from d = -1, the ``*_up`` ops from
+d = +1.  ``add_array`` and ``mul_array`` evaluate many endpoints at once (in
+the style of Rump's rounding-mode-free vector interval arithmetic) with
+``np.nextafter`` for the step.  Their d broadcasts, so one call rounds the
+lower-endpoint row of an interval array down and its upper-endpoint row up,
+and they run the unreliable-product arm only when some product needs it.
 """
 
 import math
@@ -38,14 +39,6 @@ import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant for binary64
 _MIN_NORMAL = sys.float_info.min
-
-
-def next_down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
-
-
-def next_up(x: float) -> float:
-    return math.nextafter(x, math.inf)
 
 
 def two_sum(a: float, b: float):
@@ -72,20 +65,6 @@ def two_product(a: float, b: float):
     return p, e
 
 
-def add_down(a: float, b: float) -> float:
-    s, e = two_sum(a, b)
-    if e < 0.0:
-        return next_down(s)
-    return s
-
-
-def add_up(a: float, b: float) -> float:
-    s, e = two_sum(a, b)
-    if e > 0.0:
-        return next_up(s)
-    return s
-
-
 def _product_unreliable(a, b, p, e):
     # NaN error term: the Dekker split overflowed.  Product in or below the
     # subnormal range with nonzero factors: the error term may itself have
@@ -93,14 +72,14 @@ def _product_unreliable(a, b, p, e):
     return (e != e) | ((abs(p) < _MIN_NORMAL) & (a != 0.0) & (b != 0.0))
 
 
-def _blind_step(r, a, b, up):
+def _blind_step(r, a, b, d):
     """Whether r, a rounded product or quotient of a and b whose error sign
-    is unknown, must step one ulp down (``up`` false) or up.
+    is unknown, must step one ulp in direction d (-1 down, +1 up).
 
     It must, unless r underflowed to 0: the exact result is nonzero with the
     sign of a*b, so 0 already bounds it on the side that sign rules out.
     """
-    return (r != 0.0) | (((a < 0.0) != (b < 0.0)) != up)
+    return (r != 0.0) | (((a < 0.0) != (b < 0.0)) != (d > 0.0))
 
 
 def _mul_step(a, b, p, e, d):
@@ -113,26 +92,8 @@ def _mul_step(a, b, p, e, d):
     """
     # A nonzero e is a true error only for a normal product.
     return ((e * d > 0.0) & (abs(p) >= _MIN_NORMAL)) | (
-        _product_unreliable(a, b, p, e) & _blind_step(p, a, b, d > 0.0)
+        _product_unreliable(a, b, p, e) & _blind_step(p, a, b, d)
     )
-
-
-def mul_down(a: float, b: float) -> float:
-    p, e = two_product(a, b)
-    if math.isinf(p):
-        return p
-    if abs(p) >= _MIN_NORMAL and e == e:
-        return next_down(p) if e < 0.0 else p
-    return next_down(p) if _mul_step(a, b, p, e, -1.0) else p
-
-
-def mul_up(a: float, b: float) -> float:
-    p, e = two_product(a, b)
-    if math.isinf(p):
-        return p
-    if abs(p) >= _MIN_NORMAL and e == e:
-        return next_up(p) if e > 0.0 else p
-    return next_up(p) if _mul_step(a, b, p, e, 1.0) else p
 
 
 def _product_is(a: float, b: float, c: float) -> bool:
@@ -140,32 +101,39 @@ def _product_is(a: float, b: float, c: float) -> bool:
     return not _product_unreliable(a, b, p, e) and p == c and e == 0.0
 
 
-def div_down(a: float, b: float) -> float:
-    q = a / b
-    if math.isinf(q) or _product_is(q, b, a) or not _blind_step(q, a, b, False):
-        return q
-    return next_down(q)
+def _directed(d: float):
+    """The scalar add, mul, div and sqrt rounded in direction d (-1 or +1)."""
+    toward = d * math.inf
+
+    def add(a: float, b: float) -> float:
+        s, e = two_sum(a, b)
+        return math.nextafter(s, toward) if e * d > 0.0 else s
+
+    def mul(a: float, b: float) -> float:
+        p, e = two_product(a, b)
+        if math.isinf(p):
+            return p
+        if abs(p) >= _MIN_NORMAL and e == e:
+            step = e * d > 0.0
+        else:
+            step = _mul_step(a, b, p, e, d)
+        return math.nextafter(p, toward) if step else p
+
+    def div(a: float, b: float) -> float:
+        q = a / b
+        if math.isinf(q) or _product_is(q, b, a) or not _blind_step(q, a, b, d):
+            return q
+        return math.nextafter(q, toward)
+
+    def sqrt(x: float) -> float:
+        r = math.sqrt(x)
+        return r if _product_is(r, r, x) else math.nextafter(r, toward)
+
+    return add, mul, div, sqrt
 
 
-def div_up(a: float, b: float) -> float:
-    q = a / b
-    if math.isinf(q) or _product_is(q, b, a) or not _blind_step(q, a, b, True):
-        return q
-    return next_up(q)
-
-
-def sqrt_down(x: float) -> float:
-    r = math.sqrt(x)
-    if _product_is(r, r, x):
-        return r
-    return next_down(r)
-
-
-def sqrt_up(x: float) -> float:
-    r = math.sqrt(x)
-    if _product_is(r, r, x):
-        return r
-    return next_up(r)
+add_down, mul_down, div_down, sqrt_down = _directed(-1.0)
+add_up, mul_up, div_up, sqrt_up = _directed(1.0)
 
 
 # --- array endpoints: elementwise, same decisions as the scalar ops ---

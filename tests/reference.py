@@ -36,19 +36,17 @@ from rlcband.rounding import (
     div_up,
     mul_down,
     mul_up,
-    next_down,
-    next_up,
     two_product,
     two_sum,
 )
 
 
 def _down2(x: float) -> float:
-    return next_down(next_down(x))
+    return math.nextafter(math.nextafter(x, -math.inf), -math.inf)
 
 
 def _up2(x: float) -> float:
-    return next_up(next_up(x))
+    return math.nextafter(math.nextafter(x, math.inf), math.inf)
 
 
 def _down2_array(x: np.ndarray) -> np.ndarray:

@@ -15,13 +15,19 @@ from rlcband.rounding import (
     mul_array,
     mul_down,
     mul_up,
-    next_down,
-    next_up,
     sqrt_down,
     sqrt_up,
     two_product,
     two_sum,
 )
+
+
+def next_down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def next_up(x: float) -> float:
+    return math.nextafter(x, math.inf)
 
 
 def _random_values(n, seed):
@@ -163,3 +169,16 @@ def test_array_ops_bracket_exact():
     for x, y, l, h in zip(a, b, lo, hi):
         if np.isfinite(l) and np.isfinite(h):
             assert Fraction(l) <= Fraction(x) * Fraction(y) <= Fraction(h)
+
+
+def test_down_is_the_negated_up():
+    # One body serves both directions: rounding down is rounding the negated
+    # operation up, on the edge values that reach the subnormal and
+    # split-overflow arms.
+    a = _edge_values(20000, 8).tolist()
+    b = _edge_values(20000, 9).tolist()
+    for x, y in zip(a, b):
+        assert add_down(x, y) == -add_up(-x, -y)
+        assert mul_down(x, y) == -mul_up(-x, y)
+        if y != 0.0:
+            assert div_down(x, y) == -div_up(-x, y)
