@@ -7,7 +7,8 @@ underdamped response of the capacitor voltage is
 
     v(t) = 1 - exp(-xi*w0*t) * (cos(wd*t) + xi/sqrt(1-xi^2) * sin(wd*t))
 
-where xi = (R/2)*sqrt(C/L), w0 = 1/sqrt(L*C) and wd = w0*sqrt(1-xi^2).
+where xi = (R/2)*sqrt(C/L), w0 = 1/sqrt(L*C) and wd = w0*sqrt(1-xi^2).  The
+decay rate xi*w0 equals R/(2L), which the band evaluates in that form.
 Interval parameters propagate component tolerances and rounding through the
 same closed form; the resulting band is a guaranteed enclosure of every
 response the component box can produce.  The band is evaluated on float64
@@ -129,7 +130,8 @@ def require_underdamped(xi: Interval) -> None:
 
 @dataclass(frozen=True)
 class SecondOrderParams:
-    """Damping ratio, natural and damped frequency, as intervals plus nominals.
+    """Damping ratio, natural and damped frequency, as intervals plus nominals,
+    and the decay rate xi*omega0 of the envelope as an interval.
 
     Admissible only for the underdamped regime: xi strictly inside (0, 1).
     """
@@ -140,6 +142,7 @@ class SecondOrderParams:
     xi_nominal: float
     omega0_nominal: float
     omegad_nominal: float
+    decay: Interval
 
     def __post_init__(self):
         require_underdamped(self.xi)
@@ -148,6 +151,8 @@ class SecondOrderParams:
                 f"natural {self.omega0.render(6)} and damped {self.omegad.render(6)} "
                 "frequencies must be strictly positive"
             )
+        if not self.decay.lo > 0.0:
+            raise DomainError(f"decay rate {self.decay.render(6)} must be strictly positive")
 
 
 def _param_intervals(r: Interval, l: Interval, c: Interval):
@@ -165,16 +170,14 @@ def derive_params(spec: CircuitSpec) -> SecondOrderParams:
     xi and omega0 name each component once and are monotone over positive
     boxes, so their natural interval extension is tight.  omegad = omega0 *
     sqrt(1 - xi^2) repeats L and C, so it is wider than the range (demo box:
-    [8685.28; 11773.9] against the corner hull [8688.66; 11771.4]), as is
-    the band's decay rate xi*omega0.  The nominal triple is computed through
-    the same interval pipeline with degenerate inputs and taken at the
-    midpoint.
+    [8685.28; 11773.9] against the corner hull [8688.66; 11771.4]).  The
+    decay rate is taken as R/(2L), which names each component once, and not
+    as xi*omega0, which repeats L and C (demo box: [465.5; 628.833] against
+    [380.079; 770.16]).  The nominal triple is computed through the same
+    interval pipeline with degenerate inputs and taken at the midpoint.
     """
-    xi, omega0, omegad = _param_intervals(
-        spec.resistance_interval(),
-        spec.inductance_interval(),
-        spec.capacitance_interval(),
-    )
+    r, l = spec.resistance_interval(), spec.inductance_interval()
+    xi, omega0, omegad = _param_intervals(r, l, spec.capacitance_interval())
     r_nom = Interval.point(spec.r_ohms) + Interval.point(spec.rl_ohms)
     xi_n, omega0_n, omegad_n = _param_intervals(
         r_nom, Interval.point(spec.l_henries), Interval.point(spec.c_farads)
@@ -186,6 +189,7 @@ def derive_params(spec: CircuitSpec) -> SecondOrderParams:
         xi_nominal=xi_n.midpoint(),
         omega0_nominal=omega0_n.midpoint(),
         omegad_nominal=omegad_n.midpoint(),
+        decay=r / (2.0 * l),
     )
 
 
@@ -287,7 +291,6 @@ def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:
     if np.any(grid < 0.0):
         raise ValueError("band grid times must be non-negative")
     one = Interval.point(1.0)
-    decay = params.xi * params.omega0
     damp = params.xi / isqrt(one - params.xi * params.xi)
     lower = np.empty(grid.size)
     upper = np.empty(grid.size)
@@ -296,7 +299,7 @@ def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, grid.size, _BAND_BLOCK):
             block = slice(start, start + _BAND_BLOCK)
-            lower[block], upper[block] = _band_block(decay, params.omegad, damp, grid[block])
+            lower[block], upper[block] = _band_block(params.decay, params.omegad, damp, grid[block])
     nominal = step_response_curve(
         params.xi_nominal, params.omega0_nominal, params.omegad_nominal, grid
     )

@@ -70,11 +70,11 @@ def peak_time(omegad: Interval) -> Interval:
     return PI / omegad
 
 
-def settling_time(xi: Interval, omega0: Interval) -> Interval:
-    """Time to stay within +/-2 % of the final value: 4/(xi*omega0)."""
-    product = xi * omega0
-    _require_positive(product, "xi*omega0 =")
-    return Interval.point(4.0) / product
+def settling_time(decay: Interval) -> Interval:
+    """Time to stay within +/-2 % of the final value: 4/decay, where the
+    decay rate is xi*omega0."""
+    _require_positive(decay, "decay rate")
+    return Interval.point(4.0) / decay
 
 
 def rise_time(xi: Interval, omegad: Interval) -> Interval:
@@ -93,7 +93,7 @@ def specs_from_params(params: SecondOrderParams) -> TransientSpecs:
         mp=overshoot_from_xi(params.xi),
         ts_rise=rise_time(params.xi, params.omegad),
         tp=peak_time(params.omegad),
-        ta=settling_time(params.xi, params.omega0),
+        ta=settling_time(params.decay),
         pipeline=Pipeline.FROM_PARAMS,
     )
 
@@ -149,7 +149,8 @@ def identify(mp: Interval, tp: Interval) -> SecondOrderParams:
     """Recover xi, omegad, omega0 from measured overshoot and peak time.
 
     Inverts the overshoot and peak-time formulas: xi from mp (monotone
-    endpoint evaluation), omegad = pi/tp, omega0 = omegad/sqrt(1-xi^2).
+    endpoint evaluation), omegad = pi/tp, omega0 = omegad/sqrt(1-xi^2) and
+    the decay rate xi*omega0.
     """
     _require_positive(tp, "peak time")
     xi = xi_from_overshoot(mp)
@@ -166,4 +167,5 @@ def identify(mp: Interval, tp: Interval) -> SecondOrderParams:
         xi_nominal=xi_n,
         omega0_nominal=omega0_n,
         omegad_nominal=omegad_n,
+        decay=xi * omega0,
     )

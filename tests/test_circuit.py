@@ -8,6 +8,7 @@ box, and direct evaluation of the closed-form response.
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +124,19 @@ def test_interval_parameters_match_corner_oracle(demo_params):
     assert abs(demo_params.omegad.hi - WD_BOX[1]) <= 0.1
 
 
+def test_decay_is_inside_and_narrower_than_xi_omega0(demo_spec):
+    # R/(2L) names each component once; xi*omega0 repeats L and C
+    for spec in [demo_spec, *_sweep_specs(20, 41)]:
+        params = derive_params(spec)
+        product = params.xi * params.omega0
+        assert product.encloses(params.decay), spec
+        assert params.decay.hi - params.decay.lo < product.hi - product.lo, spec
+    # demo: the corner range of R/(2L), 102.41/0.22 to 113.19/0.18
+    decay = derive_params(demo_spec).decay
+    assert Fraction(decay.lo) <= Fraction(10241, 22) and Fraction(decay.hi) >= Fraction(11319, 18)
+    assert abs(decay.lo - 10241 / 22) <= 1e-9 and abs(decay.hi - 11319 / 18) <= 1e-9
+
+
 def test_not_underdamped_rejected():
     overdamped = CircuitSpec(10000.0, 0.05, 7.8, 0.05, 0.1, 0.10, 100e-9, 0.20)
     with pytest.raises(DomainError, match="damping ratio .* not strictly inside"):
@@ -134,6 +148,8 @@ def test_params_need_positive_frequencies(demo_params):
     for field in ("omega0", "omegad"):
         with pytest.raises(DomainError, match="frequencies must be strictly positive"):
             dataclasses.replace(demo_params, **{field: Interval(-1.0, 1e4)})
+    with pytest.raises(DomainError, match="decay rate .* must be strictly positive"):
+        dataclasses.replace(demo_params, decay=Interval(-1.0, 1e4))
 
 
 def test_underdamped_needs_strict_interior():
@@ -257,13 +273,12 @@ def _band_reference(params, grid):
     """The band evaluated point by point in scalar Interval arithmetic, with
     the libm enclosures of exp, cos and sin."""
     one = Interval.point(1.0)
-    decay = params.xi * params.omega0
     damp = params.xi / isqrt(one - params.xi * params.xi)
     lower, upper = [], []
     for t in grid:
         tt = Interval.point(float(t))
         phase = params.omegad * tt
-        v = one - iexp(-(decay * tt)) * (icos(phase) + damp * isin(phase))
+        v = one - iexp(-(params.decay * tt)) * (icos(phase) + damp * isin(phase))
         lower.append(v.lo)
         upper.append(v.hi)
     return np.array(lower), np.array(upper)
@@ -291,9 +306,8 @@ def test_band_matches_scalar_reference(tols):
 def _kernel_reference(params, grid):
     """The band through reference.band_block, in one call for the whole grid."""
     one = Interval.point(1.0)
-    decay = params.xi * params.omega0
     damp = params.xi / isqrt(one - params.xi * params.xi)
-    return reference.band_block(decay, params.omegad, damp, grid)
+    return reference.band_block(params.decay, params.omegad, damp, grid)
 
 
 @pytest.mark.parametrize("points", [400, 2000, 20000, 2 * 4096 + 1])

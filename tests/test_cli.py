@@ -272,7 +272,7 @@ def test_metrics_reproduces_reference_columns(config_path, capsys):
     out = capsys.readouterr().out
     assert "0.844" in out          # nominal overshoot fraction
     assert "0.0539" in out         # nominal damping ratio
-    assert "[0.6454; 0.9231]" in out   # band overshoot interval
+    assert "[0.673; 0.8959]" in out    # band overshoot interval
     assert "band-inverted" in out
     assert "components" in out
     assert "1e+04" in out          # nominal natural frequency, 4 sig digits
@@ -287,7 +287,7 @@ def test_metrics_wide_box_degrades_one_row(tmp_path, capsys):
     assert rc == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     xi_band = next(l for l in lines if "band-inverted" in l)
-    assert "none: Mp [0; 1.048] not in (0, 1)" in xi_band
+    assert "none: Mp [0; 1.006] not in (0, 1)" in xi_band
     assert sum("components" in l for l in lines) == 3
     assert sum("params" in l for l in lines) == 4
 

@@ -43,6 +43,8 @@ MP_FORMULA_BOX = (0.81404164710448711, 0.87169356456428665)
 TP_BOX = (2.6682750092269466e-4, 3.6171472264109481e-4)
 TS_BOX = (1.3712380127748808e-4, 1.8838698639210244e-4)
 TA_BOX = (5.1937232818090182e-3, 1.0524123492086695e-2)
+# corner range of ta = 4/(R/(2L)) = 8L/R over the demo component box
+TA_COMPONENT_BOX = (6.3609859528226875e-3, 8.592910848549946e-3)
 
 # endpoint inversion of the overshoot formula
 XI_FROM_MP_EXPERIMENT = 0.10727654785269201  # mp = 0.7125
@@ -119,25 +121,25 @@ def test_peak_time_rejects_nonpositive():
 # --- settling_time ---
 
 def test_settling_nominal():
-    ta = settling_time(Interval.point(XI_NOMINAL), Interval.point(1e4))
+    ta = settling_time(Interval.point(XI_NOMINAL) * Interval.point(1e4))
     assert ta.lo <= TA_NOMINAL <= ta.hi
     assert add_up(ta.hi, -ta.lo) <= 1e-12
 
 
 def test_settling_unit_product():
-    ta = settling_time(Interval.point(2.0), Interval.point(2.0))
+    ta = settling_time(Interval.point(2.0) * Interval.point(2.0))
     assert ta == Interval(1.0, 1.0)
 
 
 def test_settling_box():
-    ta = settling_time(XI_BOX, W0_BOX)
+    ta = settling_time(XI_BOX * W0_BOX)
     assert ta.lo <= TA_BOX[0] <= TA_BOX[1] <= ta.hi
     assert _close_to(ta, TA_BOX, 1e-9)
 
 
 def test_settling_rejects_nonpositive():
-    with pytest.raises(DomainError, match=r"xi\*omega0 = .* must be strictly positive"):
-        settling_time(Interval(-0.1, 0.1), Interval.point(1e4))
+    with pytest.raises(DomainError, match=r"decay rate .* must be strictly positive"):
+        settling_time(Interval(-0.1, 0.1) * Interval.point(1e4))
 
 
 # --- rise_time ---
@@ -169,7 +171,7 @@ def test_ordering_rise_peak_settle():
         xi_i, w0_i, wd_i = map(Interval.point, (xi, w0, wd))
         ts = rise_time(xi_i, wd_i).midpoint()
         tp = peak_time(wd_i).midpoint()
-        ta = settling_time(xi_i, w0_i).midpoint()
+        ta = settling_time(xi_i * w0_i).midpoint()
         assert ts < tp < ta
 
 
@@ -181,7 +183,8 @@ def test_specs_from_params_assembles_all(demo_params):
     assert specs.mp.lo <= MP_FORMULA_BOX[0] and specs.mp.hi >= MP_FORMULA_BOX[1]
     assert specs.tp.lo <= TP_BOX[0] and specs.tp.hi >= TP_BOX[1]
     assert specs.ts_rise.lo <= TS_BOX[0] and specs.ts_rise.hi >= TS_BOX[1]
-    assert specs.ta.lo <= TA_BOX[0] and specs.ta.hi >= TA_BOX[1]
+    assert specs.ta.lo <= TA_COMPONENT_BOX[0] and specs.ta.hi >= TA_COMPONENT_BOX[1]
+    assert _close_to(specs.ta, TA_COMPONENT_BOX, 1e-12)
 
 
 def test_transient_specs_validation():
@@ -208,8 +211,8 @@ def test_band_overshoot_degenerate(zero_tol_spec):
 
 def test_band_overshoot_toleranced(demo_band):
     mp = overshoot_from_band(demo_band)
-    assert abs(mp.lo - 0.6454) < 2e-3
-    assert abs(mp.hi - 0.9231) < 2e-3
+    assert abs(mp.lo - 0.6730) < 2e-3
+    assert abs(mp.hi - 0.8959) < 2e-3
 
 
 def test_band_overshoot_clamps_monotone_band():
