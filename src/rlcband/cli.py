@@ -149,14 +149,13 @@ def _cmd_identify(args) -> int:
     mp = _parse_interval_flag(args.mp, "--mp")
     p = args.precision
     if args.tp is None:
-        xi = xi_from_overshoot(mp)
-        print(f"xi = {xi.render(p)} (midpoint {_fmt(xi.midpoint(), p)})")
-        return EXIT_OK
-    tp = _parse_interval_flag(args.tp, "--tp")
-    params = identify(mp, tp)
-    print(f"xi = {params.xi.render(p)} (midpoint {_fmt(params.xi_nominal, p)})")
-    print(f"wd = {params.omegad.render(p)} rad/s (midpoint {_fmt(params.omegad_nominal, p)})")
-    print(f"w0 = {params.omega0.render(p)} rad/s (midpoint {_fmt(params.omega0_nominal, p)})")
+        rows = [("xi", xi_from_overshoot(mp), "")]
+    else:
+        params = identify(mp, _parse_interval_flag(args.tp, "--tp"))
+        rows = [(label, getattr(params, attr), "" if attr == "xi" else " rad/s")
+                for label, attr in _PARAM_ROWS]
+    for label, x, unit in rows:
+        print(f"{label} = {x.render(p)}{unit} (midpoint {_fmt(x.midpoint(), p)})")
     return EXIT_OK
 
 

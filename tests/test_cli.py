@@ -342,6 +342,20 @@ def test_identify_point(capsys):
     assert "10008.96" in out
 
 
+def test_identify_prints_the_midpoint_of_each_interval(capsys):
+    # with --tp, each midpoint is its interval's, and xi reads as without --tp
+    assert main(["identify", "--mp", "0.05,0.6", "--precision", "8"]) == EXIT_OK
+    xi_line = capsys.readouterr().out.splitlines()[0]
+    assert main(["identify", "--mp", "0.05,0.6", "--tp", "1e-3", "--precision", "8"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == xi_line
+    assert [line.split(" ")[0] for line in lines] == ["xi", "wd", "w0"]
+    for line in lines:
+        lo, hi = (float(v) for v in line.split("[")[1].split("]")[0].split(";"))
+        midpoint = float(line.split("(midpoint ")[1].rstrip(")"))
+        assert midpoint == pytest.approx((lo + hi) / 2.0, rel=1e-7), line
+
+
 def test_identify_interval_mp_only(capsys):
     rc = main(["identify", "--mp", "0.6656,0.9230", "--precision", "7"])
     assert rc == EXIT_OK
