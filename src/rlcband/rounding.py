@@ -30,6 +30,8 @@ the style of Rump's rounding-mode-free vector interval arithmetic) with
 ``np.nextafter`` for the step.  Their d broadcasts, so one call rounds the
 lower-endpoint row of an interval array down and its upper-endpoint row up,
 and they run the unreliable-product arm only when some product needs it.
+The EFTs and the step tests use operators only, so the same functions serve
+scalars and numpy arrays.
 """
 
 import math
