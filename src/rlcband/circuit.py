@@ -17,7 +17,7 @@ arrays of endpoint rows, one block of grid points at a time.
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
@@ -30,18 +30,6 @@ from .elementary import icos, iexp, isin  # noqa: F401
 from .errors import ConfigError, DomainError
 from .interval import Interval
 from .rounding import DOWN_UP, add_array, mul_array
-
-_CONFIG_KEYS = {
-    "r_ohms": "r_ohms",
-    "r_tol_pct": "r_tol",
-    "rl_ohms": "rl_ohms",
-    "rl_tol_pct": "rl_tol",
-    "l_henries": "l_henries",
-    "l_tol_pct": "l_tol",
-    "c_farads": "c_farads",
-    "c_tol_pct": "c_tol",
-}
-
 
 @dataclass(frozen=True)
 class CircuitSpec:
@@ -81,6 +69,12 @@ class CircuitSpec:
 
     def capacitance_interval(self) -> Interval:
         return Interval.from_nominal_tolerance(self.c_farads, self.c_tol)
+
+
+# Config key of each CircuitSpec field, in field order: a tolerance field
+# reads its percentage from key <field>_pct, any other field its own name.
+_CONFIG_KEYS = {f.name + "_pct" if f.name.endswith("_tol") else f.name: f.name
+                for f in fields(CircuitSpec)}
 
 
 def load_circuit_spec(path) -> CircuitSpec:
@@ -128,6 +122,12 @@ def require_underdamped(xi: Interval) -> None:
         )
 
 
+def require_positive(x: Interval, name: str) -> None:
+    """Raise DomainError unless the interval named name lies above 0."""
+    if x.lo <= 0.0:
+        raise DomainError(f"{name} {x.render(6)} must be strictly positive")
+
+
 @dataclass(frozen=True)
 class SecondOrderParams:
     """Damping ratio, natural and damped frequency, as intervals plus nominals,
@@ -146,21 +146,16 @@ class SecondOrderParams:
 
     def __post_init__(self):
         require_underdamped(self.xi)
-        if not (self.omega0.lo > 0.0 and self.omegad.lo > 0.0):
-            raise DomainError(
-                f"natural {self.omega0.render(6)} and damped {self.omegad.render(6)} "
-                "frequencies must be strictly positive"
-            )
-        if not self.decay.lo > 0.0:
-            raise DomainError(f"decay rate {self.decay.render(6)} must be strictly positive")
+        require_positive(self.omega0, "natural frequency")
+        require_positive(self.omegad, "damped frequency")
+        require_positive(self.decay, "decay rate")
 
 
 def _param_intervals(r: Interval, l: Interval, c: Interval):
-    one = Interval.point(1.0)
     xi = (r / 2.0) * isqrt(c / l)
-    omega0 = one / isqrt(l * c)
+    omega0 = 1.0 / isqrt(l * c)
     require_underdamped(xi)
-    omegad = omega0 * isqrt(one - xi * xi)
+    omegad = omega0 * isqrt(1.0 - xi * xi)
     return xi, omega0, omegad
 
 
@@ -178,7 +173,7 @@ def derive_params(spec: CircuitSpec) -> SecondOrderParams:
     """
     r, l = spec.resistance_interval(), spec.inductance_interval()
     xi, omega0, omegad = _param_intervals(r, l, spec.capacitance_interval())
-    r_nom = Interval.point(spec.r_ohms) + Interval.point(spec.rl_ohms)
+    r_nom = Interval.point(spec.r_ohms) + spec.rl_ohms
     xi_n, omega0_n, omegad_n = _param_intervals(
         r_nom, Interval.point(spec.l_henries), Interval.point(spec.c_farads)
     )
@@ -290,8 +285,7 @@ def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:
     grid = np.asarray(grid, dtype=np.float64)
     if np.any(grid < 0.0):
         raise ValueError("band grid times must be non-negative")
-    one = Interval.point(1.0)
-    damp = params.xi / isqrt(one - params.xi * params.xi)
+    damp = params.xi / isqrt(1.0 - params.xi * params.xi)
     lower = np.empty(grid.size)
     upper = np.empty(grid.size)
     # The Dekker split of a grid time near 1e300 overflows; mul_array already

@@ -96,7 +96,7 @@ def _nominal_view(params):
     """Degenerate-interval view of the nominal parameter triple."""
     return dataclasses.replace(params, **{
         attr: Interval.point(getattr(params, attr + "_nominal")) for _, attr in _PARAM_ROWS},
-        decay=Interval.point(params.xi_nominal) * Interval.point(params.omega0_nominal))
+        decay=Interval.point(params.xi_nominal) * params.omega0_nominal)
 
 
 def _metrics_rows(params, band, trace_specs, trace_params, p):

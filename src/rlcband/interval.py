@@ -25,6 +25,18 @@ from .rounding import (
 )
 
 
+def _binary(op):
+    """op as a method whose other operand is an Interval, or an int or float
+    taken as its point interval; any other operand gets NotImplemented."""
+    def method(self, other):
+        if isinstance(other, Interval):
+            return op(self, other)
+        if isinstance(other, (int, float)):
+            return op(self, Interval.point(float(other)))
+        return NotImplemented
+    return method
+
+
 class Interval:
     """Closed interval [lo, hi]; degenerate (lo == hi) intervals are exact reals."""
 
@@ -69,46 +81,30 @@ class Interval:
     # --- arithmetic ---
 
     @staticmethod
-    def _coerce(other):
-        if isinstance(other, Interval):
-            return other
-        if isinstance(other, (int, float)):
-            return Interval.point(float(other))
-        return None
-
-    @staticmethod
     def _checked(lo: float, hi: float) -> "Interval":
         if math.isinf(lo) or math.isinf(hi):
             raise IntervalError("interval endpoint overflowed to infinity")
         return Interval(lo, hi)
 
-    def __add__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __add__(self, o) -> "Interval":
         return self._checked(add_down(self.lo, o.lo), add_up(self.hi, o.hi))
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __sub__(self, o) -> "Interval":
         return self._checked(add_down(self.lo, -o.hi), add_up(self.hi, -o.lo))
 
-    def __rsub__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
+    @_binary
+    def __rsub__(self, o) -> "Interval":
+        return o - self
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
-    def __mul__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __mul__(self, o) -> "Interval":
         if self.lo >= 0.0 and o.lo >= 0.0:
             # Non-negative operands: lo*lo and hi*hi are the extreme exact
             # products, and their directed roundings stay the extremes.
@@ -126,20 +122,16 @@ class Interval:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __truediv__(self, o) -> "Interval":
         if o.lo <= 0.0 <= o.hi:
             raise IntervalError(f"divisor {o} contains zero")
         recip = self._checked(div_down(1.0, o.hi), div_up(1.0, o.lo))
         return self.__mul__(recip)
 
-    def __rtruediv__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+    @_binary
+    def __rtruediv__(self, o) -> "Interval":
+        return o / self
 
     # --- set operations ---
 

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import ResponseBand, SecondOrderParams, require_underdamped
+from .circuit import ResponseBand, SecondOrderParams, require_positive, require_underdamped
 from .elementary import PI, iacos, iexp, iln, isqrt
 from .errors import DomainError
 from .interval import Interval
@@ -51,30 +51,24 @@ class TransientSpecs:
                 raise ValueError(f"{name} must be strictly positive")
 
 
-def _require_positive(x: Interval, name: str) -> None:
-    if x.lo <= 0.0:
-        raise DomainError(f"{name} {x.render(6)} must be strictly positive")
-
-
 def overshoot_from_xi(xi: Interval) -> Interval:
     """Overshoot fraction exp(-pi*xi/sqrt(1-xi^2)); antitone in xi."""
     require_underdamped(xi)
-    one = Interval.point(1.0)
-    exponent = (PI * xi) / isqrt(one - xi * xi)
+    exponent = (PI * xi) / isqrt(1.0 - xi * xi)
     return iexp(-exponent)
 
 
 def peak_time(omegad: Interval) -> Interval:
     """Time of the first overshoot peak, pi/omegad."""
-    _require_positive(omegad, "damped frequency")
+    require_positive(omegad, "damped frequency")
     return PI / omegad
 
 
 def settling_time(decay: Interval) -> Interval:
     """Time to stay within +/-2 % of the final value: 4/decay, where the
     decay rate is xi*omega0."""
-    _require_positive(decay, "decay rate")
-    return Interval.point(4.0) / decay
+    require_positive(decay, "decay rate")
+    return 4.0 / decay
 
 
 def rise_time(xi: Interval, omegad: Interval) -> Interval:
@@ -83,7 +77,7 @@ def rise_time(xi: Interval, omegad: Interval) -> Interval:
     Exact for the underdamped closed form (no root finding needed).
     """
     require_underdamped(xi)
-    _require_positive(omegad, "damped frequency")
+    require_positive(omegad, "damped frequency")
     return (PI - iacos(xi)) / omegad
 
 
@@ -152,10 +146,10 @@ def identify(mp: Interval, tp: Interval) -> SecondOrderParams:
     endpoint evaluation), omegad = pi/tp, omega0 = omegad/sqrt(1-xi^2) and
     the decay rate xi*omega0.
     """
-    _require_positive(tp, "peak time")
+    require_positive(tp, "peak time")
     xi = xi_from_overshoot(mp)
     omegad = PI / tp
-    omega0 = omegad / isqrt(Interval.point(1.0) - xi * xi)
+    omega0 = omegad / isqrt(1.0 - xi * xi)
     lg = math.log(mp.midpoint())
     xi_n = -lg / math.hypot(math.pi, lg)
     omegad_n = math.pi / tp.midpoint()
