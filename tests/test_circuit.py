@@ -8,6 +8,7 @@ box, and direct evaluation of the closed-form response.
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -61,33 +62,34 @@ def test_resistance_interval_includes_winding(demo_spec):
     assert r.lo <= demo_spec.r_ohms + demo_spec.rl_ohms <= r.hi
 
 
+# the demo circuit as a config file's JSON object
+DEMO_CONFIG = {
+    "r_ohms": 100.0, "r_tol_pct": 5.0,
+    "rl_ohms": 7.8, "rl_tol_pct": 5.0,
+    "l_henries": 0.1, "l_tol_pct": 10.0,
+    "c_farads": 100e-9, "c_tol_pct": 20.0,
+}
+
+
 def test_config_roundtrip(tmp_path, demo_spec):
     cfg = tmp_path / "circuit.json"
-    cfg.write_text(json.dumps({
-        "r_ohms": 100.0, "r_tol_pct": 5.0,
-        "rl_ohms": 7.8, "rl_tol_pct": 5.0,
-        "l_henries": 0.1, "l_tol_pct": 10.0,
-        "c_farads": 100e-9, "c_tol_pct": 20.0,
-    }))
+    cfg.write_text(json.dumps(DEMO_CONFIG))
     assert load_circuit_spec(cfg) == demo_spec
 
 
-@pytest.mark.parametrize("mutate,removes", [
-    (lambda d: d.update(bogus=1.0), False),
-    (lambda d: d.pop("c_farads"), True),
-    (lambda d: d.update(r_ohms="many"), False),
+@pytest.mark.parametrize("mutate,match", [
+    pytest.param(lambda d: d.update(bogus=1.0), "unknown keys", id="unknown"),
+    pytest.param(lambda d: d.update(r_ohms="many"), "r_ohms must be a number", id="not-number"),
+    pytest.param(lambda d: d.update(c_tol_pct=100), "c_tol must be a fraction", id="tol-100"),
+    *[pytest.param(lambda d, key=key: d.pop(key), re.escape(f"missing keys ['{key}']"),
+                   id=f"no-{key}") for key in DEMO_CONFIG],
 ])
-def test_config_rejects_bad_content(tmp_path, mutate, removes):
-    data = {
-        "r_ohms": 100.0, "r_tol_pct": 5.0,
-        "rl_ohms": 7.8, "rl_tol_pct": 5.0,
-        "l_henries": 0.1, "l_tol_pct": 10.0,
-        "c_farads": 100e-9, "c_tol_pct": 20.0,
-    }
+def test_config_rejects_bad_content(tmp_path, mutate, match):
+    data = dict(DEMO_CONFIG)
     mutate(data)
     cfg = tmp_path / "circuit.json"
     cfg.write_text(json.dumps(data))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=match):
         load_circuit_spec(cfg)
 
 

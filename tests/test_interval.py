@@ -149,6 +149,15 @@ def test_scalar_mixing():
     assert x * 2 == Interval(0, 2)
     assert 1 / Interval(2, 4) == Interval(0.25, 0.5)
     assert x + 1 == Interval(1, 2)
+    # a number is its point interval, on either side of the operator
+    assert x - 1 == x - Interval.point(1.0)
+    assert 2.0 - x == Interval.point(2.0) - x
+    assert x / 2 == x / Interval.point(2.0)
+    # anything else is not coerced
+    with pytest.raises(TypeError):
+        x + "1"
+    with pytest.raises(TypeError):
+        x * [1.0]
 
 
 def test_overflow_is_an_error():
