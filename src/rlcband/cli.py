@@ -60,7 +60,7 @@ def _parse_interval_flag(text: str, name: str) -> Interval:
             return Interval.point(float(parts[0]))
         if len(parts) == 2:
             return Interval(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
+    except (ValueError, IntervalError) as exc:
         raise ConfigError(f"bad {name} value {text!r}: {exc}") from exc
     raise ConfigError(f"bad {name} value {text!r}: expected 'x' or 'lo,hi'")
 

@@ -368,8 +368,13 @@ def test_identify_domain_error_exit():
     assert main(["identify", "--mp", "1.5"]) == EXIT_DOMAIN
 
 
-def test_identify_bad_flag_value_exit():
-    assert main(["identify", "--mp", "zero"]) == EXIT_CONFIG
+def test_identify_bad_flag_value_exit(capsys):
+    # a value that float() or Interval rejects is an input error alike
+    for flags in (["--mp", "zero"], ["--mp", "0.9,0.1"], ["--mp", "nan"],
+                  ["--mp", "0.5", "--tp", "inf"]):
+        assert main(["identify", *flags]) == EXIT_CONFIG, flags
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bad {flags[-2]} value"), err
 
 
 # --- check ---
