@@ -148,7 +148,8 @@ def normalize(trace: Trace) -> Trace:
     n_tail = max(1, trace.n // 10)
     tail = v[-n_tail:]
     steady = float(tail.mean())
-    if not float(tail.std()) < 0.05 * abs(steady):
+    # scaled to the steady level: deviations near 1e300 would square to inf
+    if not (steady != 0.0 and float((tail / steady).std()) < 0.05):
         raise TraceError(
             "final 10 % of the trace is not steady (std >= 5 % of mean)"
         )

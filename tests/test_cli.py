@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rlcband
-from rlcband import cli
+from rlcband import Trace, cli
 from rlcband.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -378,6 +378,46 @@ def test_identify_bad_flag_value_exit(capsys):
 
 
 # --- check ---
+
+def _synthetic_capture(seed):
+    """A seeded noisy capture of a random underdamped step after a 100-sample
+    plateau: seed mod 4 leaves it plain or makes it spiky, inverted or
+    quantized, and seed mod 3 scales it by about 1e-300, 1 or 1e300."""
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(0.02, 0.4)
+    w0 = rng.uniform(5e3, 2e4)
+    scale = 10.0 ** (300 * (seed % 3 - 1)) * rng.uniform(0.5, 5.0)
+    noise = rng.uniform(1e-3, 0.05) * scale
+    tr = make_step_trace(xi, w0, w0 * np.sqrt(1.0 - xi * xi), dt=5e-5, t_end=0.03,
+                         t_pre=5e-3, scale=scale, offset=rng.uniform(-1.0, 1.0) * scale,
+                         noise=noise, seed=seed)
+    v = tr.v
+    kind = seed % 4
+    if kind == 1:  # upward spikes
+        v[rng.integers(0, v.size, 5)] += rng.uniform(0.2, 2.0, 5) * scale
+    elif kind == 2:  # inverted
+        v = -v
+    elif kind == 3:  # a quantization step at most the noise's deviation
+        step = noise * rng.uniform(0.25, 1.0)
+        v = np.round(v / step) * step
+    # an exactly constant plateau can raise IndexError in normalize: the
+    # strict xfail test_normalize_long_constant_plateau in test_trace.py
+    assert np.ptp(v[:100]) > 0.0
+    return Trace(tr.t, v)
+
+
+def test_synthetic_captures_exit_cleanly(tmp_path, config_path, capsys):
+    # a bad capture maps to an exit code and one error line, never a traceback
+    grid = ["--config", str(config_path), "--grid-points", "400"]
+    for seed in range(24):
+        trace = str(write_trace_csv(tmp_path / f"capture{seed}.csv", _synthetic_capture(seed)))
+        for argv in (["metrics", *grid, "--trace", trace],
+                     ["check", *grid, "--trace", trace, "--out", str(tmp_path / "out")]):
+            rc = main(argv)
+            err = capsys.readouterr().err.splitlines()
+            assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_ENCLOSURE), (seed, argv[0])
+            assert len([line for line in err if line.startswith("error:")]) <= 1, (seed, err)
+
 
 def test_check_in_box_trace_passes(tmp_path, config_path, capsys):
     trace_path = _in_box_trace_csv(tmp_path)

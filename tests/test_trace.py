@@ -212,16 +212,18 @@ def test_load_rejects_digit_grouping(tmp_path):
 # --- normalize ---
 
 def test_normalize_recovers_scaled_offset_capture():
-    raw = make_step_trace(
-        XI_NOMINAL, W0_NOMINAL, WD_NOMINAL,
-        dt=1e-6, t_end=0.03, t_pre=0.02, scale=2.0, offset=0.5,
-    )
-    norm = normalize(raw)
-    after = norm.t >= 0.0
-    ref = step_response_curve(XI_NOMINAL, W0_NOMINAL, WD_NOMINAL, norm.t[after])
-    assert np.max(np.abs(norm.v[after] - ref)) < 1e-3
-    assert abs(norm.v[-1] - 1.0) < 1e-3
-    assert np.max(np.abs(norm.v[~after])) < 1e-3
+    # volts near 1e300 too, whose deviations from the steady level square to inf
+    for k in (1.0, 1e300):
+        raw = make_step_trace(
+            XI_NOMINAL, W0_NOMINAL, WD_NOMINAL,
+            dt=1e-6, t_end=0.03, t_pre=0.02, scale=2.0 * k, offset=0.5 * k,
+        )
+        norm = normalize(raw)
+        after = norm.t >= 0.0
+        ref = step_response_curve(XI_NOMINAL, W0_NOMINAL, WD_NOMINAL, norm.t[after])
+        assert np.max(np.abs(norm.v[after] - ref)) < 1e-3
+        assert abs(norm.v[-1] - 1.0) < 1e-3
+        assert np.max(np.abs(norm.v[~after])) < 1e-3
 
 
 def test_normalize_is_identity_on_normalized_input():
@@ -281,11 +283,13 @@ def test_normalize_requires_pre_step_samples():
 
 
 def test_normalize_rejects_unsettled_capture():
-    tr = make_step_trace(
-        XI_NOMINAL, W0_NOMINAL, WD_NOMINAL, dt=1e-6, t_end=5e-4, t_pre=1e-4
-    )
-    with pytest.raises(TraceError, match="final 10 % of the trace is not steady"):
-        normalize(tr)
+    # volts near 1e-300 too, whose deviations square to 0
+    for scale in (1.0, 1e-300):
+        tr = make_step_trace(
+            XI_NOMINAL, W0_NOMINAL, WD_NOMINAL, dt=1e-6, t_end=5e-4, t_pre=1e-4, scale=scale
+        )
+        with pytest.raises(TraceError, match="final 10 % of the trace is not steady"):
+            normalize(tr)
 
 
 # --- measure_specs ---
