@@ -20,8 +20,8 @@ if any artefact differs, else 0. The artefacts:
 * one SHA-1 per quantity of a seeded sweep of 128 toleranced circuits:
   the parameters, each formula spec, the 400-point band and its nominal
   curve, the band overshoot and ``identify`` from the formula Mp and tp. The
-  parameters are hashed by the fields both sides have (xi, omega0, omegad
-  and their nominals), so a changed band shows as a band-only change;
+  parameters are hashed by all their fields: the intervals xi, omega0,
+  omegad and decay, and the three nominals;
 * one SHA-1 over the eight scalar directed ops (``add``/``mul``/``div``/
   ``sqrt``, down and up) on 90 000 operand pairs that include +-0,
   subnormals, +-max and +-inf. NaN results count as one value, and an
@@ -72,7 +72,7 @@ def _intervals(*xs):
 
 
 def _params_text(p):
-    return (_intervals(p.xi, p.omega0, p.omegad) + " "
+    return (_intervals(p.xi, p.omega0, p.omegad, p.decay) + " "
             + " ".join(float(v).hex() for v in (p.xi_nominal, p.omega0_nominal, p.omegad_nominal)))
 
 
