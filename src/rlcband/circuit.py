@@ -131,7 +131,8 @@ def require_positive(x: Interval, name: str) -> None:
 @dataclass(frozen=True)
 class SecondOrderParams:
     """Damping ratio, natural and damped frequency, as intervals plus nominals,
-    and the decay rate xi*omega0 of the envelope as an interval.
+    and the envelope's decay rate xi*omega0 as an interval: R/(2L) from
+    derive_params, the product xi*omega0 from identify.
 
     Admissible only for the underdamped regime: xi strictly inside (0, 1).
     """

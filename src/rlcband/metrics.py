@@ -66,7 +66,7 @@ def peak_time(omegad: Interval) -> Interval:
 
 def settling_time(decay: Interval) -> Interval:
     """Time to stay within +/-2 % of the final value: 4/decay, where the
-    decay rate is xi*omega0."""
+    decay rate xi*omega0 is R/(2L) from derive_params, the product from identify."""
     require_positive(decay, "decay rate")
     return 4.0 / decay
 

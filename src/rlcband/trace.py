@@ -232,8 +232,8 @@ def check_enclosure(trace: Trace, band: ResponseBand) -> EnclosureReport:
     spacing (and normalize first so t = 0 is the onset).  Samples outside
     the band's time range are excluded from the verdict count; those inside
     are one slice of the trace, and the report's times and values are views
-    of it.  A sample is
-    inside iff lower - CHECK_SLACK <= v <= upper + CHECK_SLACK.
+    of it.  A sample is inside iff
+    lower - CHECK_SLACK <= v <= upper + CHECK_SLACK.
     """
     if trace.t[-1] < band.t[0] or trace.t[0] > band.t[-1]:
         raise TraceError(
