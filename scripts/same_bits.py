@@ -22,15 +22,24 @@ if any artefact differs, else 0. The artefacts:
   curve, the band overshoot and ``identify`` from the formula Mp and tp. The
   parameters are hashed by all their fields: the intervals xi, omega0,
   omegad and decay, and the three nominals;
-* one SHA-1 over the eight scalar directed ops (``add``/``mul``/``div``/
-  ``sqrt``, down and up) on 90 000 operand pairs that include +-0,
-  subnormals, +-max and +-inf. NaN results count as one value, and an
-  operation that raises counts as its exception's name.
+* one SHA-1 per scalar directed op and direction (``add``/``mul``/``div``/
+  ``sqrt``, down and up: eight in all) on 90 000 operand pairs that
+  include +-0, subnormals, +-max and +-inf;
+* one SHA-1 per scalar interval function (``iexp``, ``iln``, ``isqrt``,
+  ``icos``, ``isin``, ``iacos``) and one for
+  ``Interval.from_nominal_tolerance``, on seeded inputs: degenerate, narrow
+  and wide intervals, ``ln`` near 0 and 1, ``acos`` near +-1, trig near
+  multiples of pi, nominals of both signs and zero.
+
+NaN results count as one value, and an operation that raises counts as its
+exception's name. The hashing code is this script's, on both sides: the
+sweep subprocesses import it from this script's directory.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -116,24 +125,92 @@ def _operands():
     return [float(v) for v in special] + [-float(v) for v in special] + random.tolist()
 
 
-def scalar_ops_digest():
-    """{"scalar ops": SHA-1} of the eight directed ops on every operand pair."""
+def _hex(r):
+    return "nan" if r != r else r.hex()
+
+
+def scalar_ops_digests():
+    """{"scalar OP DIRECTION": SHA-1} of each directed op on every operand pair."""
     from rlcband import rounding
 
     values = _operands()
-    h = hashlib.sha1()
+    hashes = {}
     for name in ("add", "mul", "div", "sqrt"):
+        pairs = [(a,) for a in values] if name == "sqrt" else [(a, b) for a in values for b in values]
         for direction in ("down", "up"):
             op = getattr(rounding, f"{name}_{direction}")
-            pairs = [(a,) for a in values] if name == "sqrt" else [(a, b) for a in values for b in values]
+            h = hashes[f"scalar {name} {direction}"] = hashlib.sha1()
             for args in pairs:
                 try:
-                    r = op(*args)
-                    text = "nan" if r != r else r.hex()
+                    text = _hex(op(*args))
                 except (ArithmeticError, ValueError) as exc:
                     text = type(exc).__name__
                 h.update(text.encode() + b"\n")
-    return {"scalar ops": h.hexdigest()}
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def _around(rng, centres, rel, width=0.0, ulps=8):
+    """(lo, hi) pairs per centre c: [c, c], c widened 1..ulps ulp each way,
+    and c widened by up to rel * |c| + width each way."""
+    out = []
+    for c in centres:
+        c = float(c)
+        n = int(rng.integers(1, ulps + 1))
+        lo = hi = c
+        for _ in range(n):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        w = float(rng.uniform(0.0, 1.0)) * (rel * abs(c) + width)
+        out += [(c, c), (lo, hi), (c - w, c + w)]
+    return out
+
+
+def _elementary_inputs():
+    """{function name: [(lo, hi), ...]} of seeded argument intervals."""
+    rng = np.random.default_rng(SWEEP_SEED)
+    n = 200
+    near_one = 1.0 - 10.0 ** rng.uniform(-17.0, -1.0, n)
+    multiples = rng.integers(-200, 201, n) * math.pi + rng.uniform(-1e-12, 1e-12, n)
+    trig = [*multiples, *(rng.integers(-200, 201, n) * (math.pi / 2)),
+            *rng.uniform(-1e6, 1e6, n), 2.0**52, -(2.0**52), 0.0]
+    return {
+        "iexp": _around(rng, [*rng.uniform(-746.0, 711.0, n), 0.0, -745.2, 709.78, 709.79], 0.0, 2.0),
+        "iln": _around(rng, [*10.0 ** rng.uniform(-323.0, -1.0, n), *near_one, *(2.0 - near_one),
+                             *10.0 ** rng.uniform(-300.0, 300.0, n), 1.0, 0.0, -1.0], 0.5),
+        "isqrt": _around(rng, [*10.0 ** rng.uniform(-323.0, 300.0, n), 0.0, 0.25, 4.0, 9.0, -1.0], 0.5),
+        "icos": _around(rng, trig, 0.0, 4.0),
+        "isin": _around(rng, trig, 0.0, 4.0),
+        "iacos": _around(rng, [*near_one, *-near_one, *rng.uniform(-1.0, 1.0, n),
+                               1.0, -1.0, 0.0, 1.5, -1.5, 2.5], 0.0, 0.5),
+    }
+
+
+def elementary_digests():
+    """{name: SHA-1} of each scalar interval function and of
+    Interval.from_nominal_tolerance, on seeded inputs."""
+    import rlcband
+    from rlcband import Interval
+
+    def text(f, *args):
+        try:
+            y = f(*args)
+        except Exception as exc:  # the error is an output too
+            return type(exc).__name__
+        return f"{_hex(y.lo)},{_hex(y.hi)}"
+
+    out = {}
+    for name, pairs in _elementary_inputs().items():
+        f = getattr(rlcband, name)
+        lines = [text(f, Interval(lo, hi)) for lo, hi in pairs]
+        out[name] = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    rng = np.random.default_rng(SWEEP_SEED)
+    n = 2000
+    nominals = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1074, 1024, n)) * rng.choice([-1.0, 1.0], n)
+    nominals = [*nominals.tolist(), *rng.uniform(-10.0, 10.0, 200).tolist(), 0.0, -0.0, 1.0, -1.0,
+                float(np.finfo(float).max), -float(np.finfo(float).max)]
+    tols = [*rng.uniform(0.0, 1.0, len(nominals) - 6).tolist(), 0.0, 0.05, 0.5, 1.0 - 2.0**-53, 0.0, 0.2]
+    lines = [text(Interval.from_nominal_tolerance, v, tol) for v, tol in zip(nominals, tols)]
+    out["Interval.from_nominal_tolerance"] = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    return out
 
 
 def _python(root, code, *args, cwd):
@@ -172,7 +249,8 @@ def artefacts(root, work):
     for args in IDENTIFY_ARGS:
         out[f"identify {' '.join(args)} stdout"] = _cli(root, work, "identify", *args,
                                                         "--precision", "17")
-    code = "import json, same_bits; print(json.dumps({**same_bits.sweep_digests(), **same_bits.scalar_ops_digest()}))"
+    code = ("import json, same_bits; print(json.dumps({**same_bits.sweep_digests(), "
+            "**same_bits.scalar_ops_digests(), **same_bits.elementary_digests()}))")
     done = _python(root, code, cwd=work)
     if done.returncode != 0:
         raise SystemExit(f"error: {root}: sweep exited {done.returncode}:\n{done.stderr}")
