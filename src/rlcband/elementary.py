@@ -21,7 +21,8 @@ cos, whose faithfulness is checked against mpmath in the test suite.  Like
 every array kernel, each takes an array whose axis 0 holds the lower
 endpoints (row 0) and the upper ones (row 1), with any trailing shape, and
 returns that layout.  ``iexp``, ``icos`` and ``isin`` run it on one (2, 1)
-column.
+column; ``iln`` and ``iacos`` widen libm's log and acos (numpy's need not
+give the same bits) through ``_out2_array`` on one.
 """
 
 import math
@@ -47,14 +48,15 @@ _MAX_TRIG_ARG = 2.0**52
 _OUTWARD = DOWN_UP * np.inf
 
 
-def _out2(x: float, d: float) -> float:
-    """x widened 2 ulp in direction d (-1 down, +1 up)."""
-    return math.nextafter(math.nextafter(x, d * math.inf), d * math.inf)
-
-
 def _out2_array(x: np.ndarray) -> np.ndarray:
     """(2, m) endpoint rows x widened 2 ulp outward."""
     return np.nextafter(np.nextafter(x, _OUTWARD), _OUTWARD)
+
+
+def _on_arrays(kernel, lo: float, hi: float) -> Interval:
+    """One interval [lo, hi] through an array kernel, as a (2, 1) column."""
+    y = kernel(np.array([[lo], [hi]]))
+    return Interval(y[0, 0], y[1, 0])
 
 
 def _check_trig_range(x: np.ndarray) -> None:
@@ -68,7 +70,7 @@ def iln(x: Interval) -> Interval:
     """Enclosure of ln(x) for strictly positive intervals."""
     if x.lo <= 0.0:
         raise DomainError(f"log requires a positive interval, got {x}")
-    return Interval(_out2(math.log(x.lo), -1.0), _out2(math.log(x.hi), 1.0))
+    return _on_arrays(_out2_array, math.log(x.lo), math.log(x.hi))
 
 
 def isqrt(x: Interval) -> Interval:
@@ -141,25 +143,19 @@ def isin_array(x: np.ndarray) -> np.ndarray:
     return icos_array(rows).reshape(np.shape(x))
 
 
-def _on_arrays(kernel, x: Interval) -> Interval:
-    """One interval through an array kernel, as a (2, 1) column."""
-    y = kernel(np.array([[x.lo], [x.hi]]))
-    return Interval(y[0, 0], y[1, 0])
-
-
 def iexp(x: Interval) -> Interval:
     """Enclosure of e**x."""
-    return _on_arrays(iexp_array, x)
+    return _on_arrays(iexp_array, x.lo, x.hi)
 
 
 def icos(x: Interval) -> Interval:
     """Exact range enclosure of cos over x, clamped to [-1, 1]."""
-    return _on_arrays(icos_array, x)
+    return _on_arrays(icos_array, x.lo, x.hi)
 
 
 def isin(x: Interval) -> Interval:
     """Exact range enclosure of sin over x."""
-    return _on_arrays(isin_array, x)
+    return _on_arrays(isin_array, x.lo, x.hi)
 
 
 def iacos(x: Interval) -> Interval:
@@ -167,6 +163,5 @@ def iacos(x: Interval) -> Interval:
     clamped = x.intersect(_UNIT)
     if clamped is None:
         raise DomainError(f"acos argument {x} does not meet [-1, 1]")
-    lo = max(0.0, _out2(math.acos(clamped.hi), -1.0))
-    hi = min(PI.hi, _out2(math.acos(clamped.lo), 1.0))
-    return Interval(lo, hi)
+    y = _on_arrays(_out2_array, math.acos(clamped.hi), math.acos(clamped.lo))
+    return Interval(max(0.0, y.lo), min(PI.hi, y.hi))

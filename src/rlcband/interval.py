@@ -72,29 +72,19 @@ class Interval:
             raise IntervalError(f"nominal must be finite, got {nominal}")
         if not (0.0 <= tol_fraction < 1.0):
             raise ValueError(f"tolerance fraction must be in [0, 1), got {tol_fraction}")
-        f_lo = add_down(1.0, -tol_fraction)
-        f_hi = add_up(1.0, tol_fraction)
-        if nominal >= 0.0:
-            return cls(mul_down(nominal, f_lo), mul_up(nominal, f_hi))
-        return cls(mul_down(nominal, f_hi), mul_up(nominal, f_lo))
+        return nominal * cls(add_down(1.0, -tol_fraction), add_up(1.0, tol_fraction))
 
     # --- arithmetic ---
 
-    @staticmethod
-    def _checked(lo: float, hi: float) -> "Interval":
-        if math.isinf(lo) or math.isinf(hi):
-            raise IntervalError("interval endpoint overflowed to infinity")
-        return Interval(lo, hi)
-
     @_binary
     def __add__(self, o) -> "Interval":
-        return self._checked(add_down(self.lo, o.lo), add_up(self.hi, o.hi))
+        return Interval(add_down(self.lo, o.lo), add_up(self.hi, o.hi))
 
     __radd__ = __add__
 
     @_binary
     def __sub__(self, o) -> "Interval":
-        return self._checked(add_down(self.lo, -o.hi), add_up(self.hi, -o.lo))
+        return Interval(add_down(self.lo, -o.hi), add_up(self.hi, -o.lo))
 
     @_binary
     def __rsub__(self, o) -> "Interval":
@@ -108,7 +98,7 @@ class Interval:
         if self.lo >= 0.0 and o.lo >= 0.0:
             # Non-negative operands: lo*lo and hi*hi are the extreme exact
             # products, and their directed roundings stay the extremes.
-            return self._checked(mul_down(self.lo, o.lo), mul_up(self.hi, o.hi))
+            return Interval(mul_down(self.lo, o.lo), mul_up(self.hi, o.hi))
         # Min/max over the four endpoint products, each rounded outward.
         pairs = (
             (self.lo, o.lo),
@@ -118,7 +108,7 @@ class Interval:
         )
         lo = min(mul_down(x, y) for x, y in pairs)
         hi = max(mul_up(x, y) for x, y in pairs)
-        return self._checked(lo, hi)
+        return Interval(lo, hi)
 
     __rmul__ = __mul__
 
@@ -126,7 +116,7 @@ class Interval:
     def __truediv__(self, o) -> "Interval":
         if o.lo <= 0.0 <= o.hi:
             raise IntervalError(f"divisor {o} contains zero")
-        recip = self._checked(div_down(1.0, o.hi), div_up(1.0, o.lo))
+        recip = Interval(div_down(1.0, o.hi), div_up(1.0, o.lo))
         return self.__mul__(recip)
 
     @_binary

@@ -18,7 +18,9 @@ The product error term is unreliable when the product underflows to the
 subnormal range or the Dekker split overflows; both cases are treated as
 inexact, which only ever widens the interval.  A product or quotient that
 underflows to 0 keeps the sign of its operands, so it never steps across 0
-on the side that sign rules out.
+on the side that sign rules out.  A product or quotient that overflows, in
+the scalar and the array ops alike, steps to +-max where infinity does not
+bound it and stays infinite where it does; overflow is the caller's check.
 
 Every operation is written once, over a rounding direction d (-1 down, +1
 up) whose step goes toward d * inf, with one step rule: a sum or a product
@@ -113,8 +115,6 @@ def _directed(d: float):
 
     def mul(a: float, b: float) -> float:
         p, e = two_product(a, b)
-        if math.isinf(p):
-            return p
         if abs(p) >= _MIN_NORMAL and e == e:
             step = e * d > 0.0
         else:
@@ -123,7 +123,7 @@ def _directed(d: float):
 
     def div(a: float, b: float) -> float:
         q = a / b
-        if math.isinf(q) or _product_is(q, b, a) or not _blind_step(q, a, b, d):
+        if _product_is(q, b, a) or not _blind_step(q, a, b, d):
             return q
         return math.nextafter(q, toward)
 
@@ -143,8 +143,6 @@ add_up, mul_up, div_up, sqrt_up = _directed(1.0)
 # the operands, so a (2, m) array with d = DOWN_UP holds an interval's
 # lower endpoints in row 0 and its upper endpoints in row 1.  d stays +-1
 # rather than +-inf: e * inf is NaN where e == 0.
-# An infinite product steps to the largest finite double or stays infinite,
-# which still bounds it; overflow is the caller's check.
 DOWN_UP = np.array([[-1.0], [1.0]])
 
 

@@ -33,7 +33,6 @@ class Trace:
 
     t: np.ndarray
     v: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=np.float64)
@@ -77,7 +76,7 @@ def load_trace(path) -> Trace:
         _locate_format_error(path)
         raise TraceError(f"{path}: {exc}") from None
     t, v = data.reshape(-1, 2).T  # a header-only file reads as shape (0, 1)
-    return Trace(t, v, label=path.name)
+    return Trace(t, v)
 
 
 def _locate_format_error(path) -> None:
@@ -162,7 +161,6 @@ def normalize(trace: Trace) -> Trace:
     return Trace(
         t=trace.t - trace.t[onset],
         v=v,
-        label=trace.label,
     )
 
 

@@ -50,7 +50,6 @@ def make_step_trace(
     xi, omega0, omegad,
     dt=1e-6, t_end=0.03, t_pre=0.0,
     scale=1.0, offset=0.0, noise=0.0, seed=0,
-    label="synthetic",
 ):
     """Closed-form unit-step capture, optionally scaled/offset/noisy with a
     pre-trigger plateau (t < 0 at the baseline)."""
@@ -63,7 +62,7 @@ def make_step_trace(
     if noise:
         rng = np.random.default_rng(seed)
         v = v + rng.normal(0.0, noise, t.size)
-    return Trace(t, v, label=label)
+    return Trace(t, v)
 
 
 def write_trace_csv(path, trace):

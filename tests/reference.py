@@ -16,6 +16,8 @@
   for bit.
 * ``mul_eight``/``div_eight``: the interval product as min/max over all
   eight directed endpoint products, and the quotient through it.
+* ``from_nominal_tolerance``: the toleranced interval with one pair of
+  directed products per sign of the nominal.
 * ``iatan``: a libm arctan enclosure under the same 2-ulp policy.
 * ``step_response_point``: the closed-form step response in point
   arithmetic.
@@ -32,6 +34,8 @@ from rlcband.circuit import require_underdamped
 from rlcband.elementary import iexp_array
 from rlcband.rounding import (
     _MIN_NORMAL,
+    add_down,
+    add_up,
     div_down,
     div_up,
     mul_down,
@@ -207,14 +211,24 @@ def mul_eight(x: Interval, y: Interval) -> Interval:
     pairs = ((x.lo, y.lo), (x.lo, y.hi), (x.hi, y.lo), (x.hi, y.hi))
     lo = min(mul_down(a, b) for a, b in pairs)
     hi = max(mul_up(a, b) for a, b in pairs)
-    return Interval._checked(lo, hi)
+    return Interval(lo, hi)
 
 
 def div_eight(x: Interval, y: Interval) -> Interval:
     """x/y as x times the outward-rounded reciprocal of y, through mul_eight."""
     if y.lo <= 0.0 <= y.hi:
         raise IntervalError(f"divisor {y} contains zero")
-    return mul_eight(x, Interval._checked(div_down(1.0, y.hi), div_up(1.0, y.lo)))
+    return mul_eight(x, Interval(div_down(1.0, y.hi), div_up(1.0, y.lo)))
+
+
+def from_nominal_tolerance(nominal: float, tol_fraction: float) -> Interval:
+    """[nominal*(1-tol), nominal*(1+tol)], the endpoint products picked by
+    the sign of the nominal."""
+    f_lo = add_down(1.0, -tol_fraction)
+    f_hi = add_up(1.0, tol_fraction)
+    if nominal >= 0.0:
+        return Interval(mul_down(nominal, f_lo), mul_up(nominal, f_hi))
+    return Interval(mul_down(nominal, f_hi), mul_up(nominal, f_lo))
 
 
 def iatan(x: Interval) -> Interval:

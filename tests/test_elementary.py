@@ -201,6 +201,37 @@ def test_iacos_antitone():
     assert x.lo < math.acos(0.5) < math.acos(-0.5) < x.hi + 1e-15
 
 
+def _ln_acos_arguments():
+    """Seeded (lo, hi) pairs: points, a few ulp wide and wide, ln's near 0
+    and 1, acos's near -1 and 1 and partly outside [-1, 1]."""
+    rng = np.random.default_rng(41)
+    near_one = 1.0 - 10.0 ** rng.uniform(-17.0, -1.0, 300)
+    ln = np.concatenate([10.0 ** rng.uniform(-323.0, 300.0, 300), near_one, 2.0 - near_one, [1.0]])
+    acos = np.concatenate([near_one, -near_one, rng.uniform(-1.0, 1.0, 300), [1.0, -1.0, 0.0]])
+    pairs = {}
+    for name, centres, wide in (("ln", ln, 0.5 * ln), ("acos", acos, np.full(acos.size, 0.5))):
+        w = rng.uniform(0.0, 1.0, centres.size) * wide
+        up = np.nextafter(np.nextafter(centres, np.inf), np.inf)
+        down = np.nextafter(centres, -np.inf)
+        pairs[name] = [*zip(centres, centres), *zip(down, up), *zip(centres - w, centres + w)]
+    return pairs
+
+
+def test_iln_iacos_widen_libm_by_two_ulp():
+    # the 2-ulp policy, bit for bit, on libm's log and acos
+    pairs = _ln_acos_arguments()
+    for lo, hi in pairs["ln"]:
+        want = Interval(reference._down2(math.log(lo)), reference._up2(math.log(hi)))
+        got = iln(Interval(lo, hi))
+        assert (got.lo, got.hi) == (want.lo, want.hi), (lo, hi)
+    for lo, hi in pairs["acos"]:
+        x = Interval(lo, hi).intersect(Interval(-1.0, 1.0))
+        want_lo = max(0.0, reference._down2(math.acos(x.hi)))
+        want_hi = min(PI.hi, reference._up2(math.acos(x.lo)))
+        got = iacos(Interval(lo, hi))
+        assert (got.lo, got.hi) == (want_lo, want_hi), (lo, hi)
+
+
 def test_iatan_monotone():
     x = iatan(Interval(-1.0, 1.0))
     assert x.lo <= -math.pi / 4 <= x.hi and x.lo <= math.pi / 4 <= x.hi

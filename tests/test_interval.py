@@ -95,6 +95,26 @@ def test_tolerance_negative_nominal_orders_endpoints():
     assert x.lo <= -11.0 <= -9.0 <= x.hi
 
 
+def test_tolerance_matches_sign_branches():
+    # the product with [1 - tol, 1 + tol] picks the directed products that
+    # a branch on the sign of the nominal picks
+    rng = np.random.default_rng(23)
+    n = 3000
+    nominals = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1074, 1024, n))
+    nominals *= rng.choice([-1.0, 1.0], n)
+    nominals = [*nominals.tolist(), 0.0, -0.0, 1.0, -1.0, sys.float_info.max, -sys.float_info.max]
+    tols = [*rng.uniform(0.0, 1.0, n).tolist(), 0.0, 0.05, 0.5, 1.0 - 2.0**-53, 0.0, 0.2]
+    for nominal, tol in zip(nominals, tols):
+        try:
+            want = reference.from_nominal_tolerance(nominal, tol)
+        except IntervalError:
+            with pytest.raises(IntervalError, match="endpoints must be finite"):
+                Interval.from_nominal_tolerance(nominal, tol)
+            continue
+        got = Interval.from_nominal_tolerance(nominal, tol)
+        assert (got.lo, got.hi) == (want.lo, want.hi), (nominal, tol)
+
+
 # --- arithmetic examples ---
 
 def test_add_exact_integers():
@@ -162,9 +182,9 @@ def test_scalar_mixing():
 
 def test_overflow_is_an_error():
     big = Interval.point(1e308)
-    with pytest.raises(IntervalError, match="endpoint overflowed to infinity"):
+    with pytest.raises(IntervalError, match="endpoints must be finite"):
         big + big
-    with pytest.raises(IntervalError, match="endpoint overflowed to infinity"):
+    with pytest.raises(IntervalError, match="endpoints must be finite"):
         big * big
 
 

@@ -1,6 +1,7 @@
 """Directed-rounding primitives against exact rational arithmetic."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -143,9 +144,21 @@ def _edge_values(n, seed):
     return vals
 
 
+def _same_bits(got, want):
+    """Elementwise: equal bit for bit (so -0.0 differs from 0.0), or both NaN."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+
+
 def test_array_ops_match_scalar_ops():
-    a = _edge_values(20000, 8)
-    b = _edge_values(20000, 9)
+    # The edge values, plus pairs whose products overflow and pairs with
+    # infinite or zero factors, whose products are infinite or NaN.
+    rng = np.random.default_rng(12)
+    huge = rng.uniform(1.0, 2.0, 400) * 10.0 ** rng.uniform(154.0, 308.0, 400)
+    huge *= rng.choice([-1.0, 1.0], 400)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, np.finfo(float).max, 1e-300])
+    a = np.concatenate([_edge_values(20000, 8), huge, np.repeat(special, special.size)])
+    b = np.concatenate([_edge_values(20000, 9), huge[::-1], np.tile(special, special.size)])
     with np.errstate(over="ignore", invalid="ignore"):
         cases = [
             (add_array, -1.0, add_down),
@@ -155,10 +168,17 @@ def test_array_ops_match_scalar_ops():
         ]
         for array_op, direction, scalar_op in cases:
             got = array_op(a, b, direction)
-            want = np.array([scalar_op(x, y) for x, y in zip(a, b)])
-            finite = np.isfinite(want)  # the scalar ops leave overflow to Interval
-            assert np.array_equal(got[finite], want[finite]), scalar_op.__name__
-            assert np.all(np.isinf(got[~finite]) | (np.abs(got[~finite]) == np.finfo(float).max))
+            want = np.array([scalar_op(x, y) for x, y in zip(a.tolist(), b.tolist())])
+            assert np.all(_same_bits(got, want)), scalar_op.__name__
+        assert np.count_nonzero(np.isinf(a * b)) > 100  # the overflow arm ran
+
+
+def test_overflow_steps_to_the_largest_double():
+    big = sys.float_info.max
+    assert mul_down(1e300, 1e300) == big and mul_up(1e300, 1e300) == math.inf
+    assert -mul_up(-1e300, 1e300) == big and mul_down(-1e300, 1e300) == -math.inf
+    assert div_down(1e300, 1e-300) == big and div_up(1e300, 1e-300) == math.inf
+    assert div_up(-1e300, 1e-300) == -big and div_down(-1e300, 1e-300) == -math.inf
 
 
 def test_array_ops_bracket_exact():

@@ -42,7 +42,6 @@ def test_load_well_formed(tmp_path):
     path = write_trace_csv(tmp_path / "ok.csv", tr)
     loaded = load_trace(path)
     assert loaded.n == tr.n
-    assert loaded.label == "ok.csv"
     assert np.allclose(loaded.v, tr.v, atol=1e-11)
 
 
@@ -111,7 +110,7 @@ def _reference_load(path):
                 values.append(float(row[1]))
             except ValueError as exc:
                 raise TraceError(f"{path}:{lineno}: {exc}") from None
-    return Trace(np.array(times), np.array(values), label=path.name)
+    return Trace(np.array(times), np.array(values))
 
 
 ROWS = [f"{i * 1e-6:.17g},{0.2 + 0.1 * np.sin(i):.10g}" for i in range(60)]
@@ -130,7 +129,7 @@ def _outcome(loader, path):
         tr = loader(path)
     except Exception as exc:  # compared below, not handled
         return type(exc), str(exc)
-    return tr.t.tobytes(), tr.v.tobytes(), tr.label
+    return tr.t.tobytes(), tr.v.tobytes()
 
 
 @pytest.mark.parametrize("text, match", [
