@@ -13,6 +13,12 @@ values of the metric (of every end-to-end metric without --metric) and its
 failed operations, and each side's median and quartiles of every metric the
 runs report.
 
+Before the first pair and after the last, it times perfbench/README's
+host-speed loop (the sum of i * i for i below 300 000) in three 1 s windows
+and prints the loops per second of each. The host runs at two speeds: when
+the two readings differ widely, the pairs may span a change of speed and
+compare the host, not the code.
+
 It then prints one no-regression verdict per end-to-end metric of
 BENCHMARK.json that the runs report (those of a --trace 0 run):
 
@@ -36,6 +42,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +57,26 @@ def run_side(root, workload, seed, seconds, trace):
     if done.returncode != 0:
         raise SystemExit(f"error: {root}: perfbench exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def host_speed(windows=3):
+    """Loops per second of the host-speed loop, one reading per 1 s window."""
+    speeds = []
+    for _ in range(windows):
+        loops = 0
+        start = time.perf_counter()
+        while (elapsed := time.perf_counter() - start) < 1.0:
+            sum(i * i for i in range(300_000))
+            loops += 1
+        speeds.append(loops / elapsed)
+    return speeds
+
+
+def print_host_speed(when):
+    speeds = host_speed()
+    print(f"host speed {when}: " + ", ".join(f"{v:.1f}" for v in speeds)
+          + " loops/s", flush=True)
+    return float(np.median(speeds))
 
 
 def quartiles(values):
@@ -87,6 +114,7 @@ def main(argv=None):
         parser.error(f"{args.metric} is not a {kind} metric of BENCHMARK.json")
     shown = [args.metric] if args.metric else list(better)
 
+    before = print_host_speed("before the pairs")
     reports = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed + i
@@ -101,6 +129,9 @@ def main(argv=None):
                                for m in shown if m in report["metrics"])
             print(f"pair {i + 1} seed {seed} {name}: {values}, failed "
                   f"{report['failed']}/{report['attempted']}{flags}", flush=True)
+
+    after = print_host_speed("after the pairs")
+    print(f"host speed change: {100.0 * (after - before) / before:+.1f} % (medians)")
 
     def runs(name, metric):
         return [r["metrics"][metric]["value"] for r in reports[name]]

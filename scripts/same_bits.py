@@ -15,6 +15,11 @@ if any artefact differs, else 0. The artefacts:
   ``band.csv`` and ``nominal.csv``;
 * ``check`` of the bundled trace at both grids: ``verdicts.csv``, and the
   exit code with stdout;
+* ``check`` of a deep capture at the default grid: ``verdicts.csv`` (99 201
+  rows, enough for ``write_csv`` to split them over forked children), and the
+  exit code with stdout. The capture is the bundled trace's closed form
+  sampled 8 times finer (107 201 samples), with no randomness; this script
+  writes it, the same for both sides;
 * the exit code and stdout of ``metrics --trace ... --precision 17`` and of
   two ``identify --precision 17`` runs, one with ``--tp`` and one without;
 * one SHA-1 per quantity of a seeded sweep of 128 toleranced circuits:
@@ -213,6 +218,30 @@ def elementary_digests():
     return out
 
 
+# The closed form of scripts/generate_demo_trace.py: xi, omegad, the step
+# and offset in volts, and the capture's start and end in seconds.
+DEMO_XI = 0.10727654785269201
+DEMO_OMEGA_D = 9951.196
+DEMO_SCALE_V, DEMO_OFFSET_V = 2.0, 0.2
+DEMO_T_PRE, DEMO_T_POST = 2e-3, 24.8e-3
+DEEP_DT = 0.25e-6
+
+
+def write_deep_capture(path):
+    """Write the deep capture, a t,v trace CSV of the demo's closed form."""
+    t = np.arange(-round(DEMO_T_PRE / DEEP_DT), round(DEMO_T_POST / DEEP_DT) + 1) * DEEP_DT
+    after = t >= 0.0
+    ta = t[after]
+    root = math.sqrt(1.0 - DEMO_XI * DEMO_XI)
+    omega0 = DEMO_OMEGA_D / root
+    v = np.full(t.size, DEMO_OFFSET_V)
+    v[after] += DEMO_SCALE_V * (1.0 - np.exp(-DEMO_XI * omega0 * ta) * (
+        np.cos(DEMO_OMEGA_D * ta) + DEMO_XI / root * np.sin(DEMO_OMEGA_D * ta)))
+    with open(path, "w", newline="") as fh:
+        fh.write("t,v\n" + "".join(f"{a:.10g},{b:.10g}\n" for a, b in zip(t.tolist(), v.tolist())))
+    return path
+
+
 def _python(root, code, *args, cwd):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(Path(__file__).parent)]))
     return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
@@ -244,6 +273,10 @@ def artefacts(root, work):
         status = _cli(root, work, "check", *grid, "--trace", trace, "--out", f"check{points}")
         out[f"check {points} verdicts.csv"] = _read(work / f"check{points}" / "verdicts.csv")
         out[f"check {points} exit and stdout"] = status
+    deep = str(write_deep_capture(work / "deep_capture.csv"))
+    status = _cli(root, work, "check", "--config", config, "--trace", deep, "--out", "deep")
+    out["check deep capture verdicts.csv"] = _read(work / "deep" / "verdicts.csv")
+    out["check deep capture exit and stdout"] = status
     out["metrics --trace stdout"] = _cli(root, work, "metrics", "--config", config,
                                          "--trace", trace, "--precision", "17")
     for args in IDENTIFY_ARGS:
