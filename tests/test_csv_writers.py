@@ -3,11 +3,15 @@
 The references below are the per-row writers of band.csv, nominal.csv and
 verdicts.csv as they were before the writers formatted whole blocks of rows.
 Every output must stay byte-identical to them, terminators included, also
-across the edges of the writer's row blocks.
+across the edges of the writer's row blocks and for every number of parts
+that write_csv formats in forked children.
 """
 
 import csv
+import dataclasses
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ from rlcband import (
     write_band_csv,
     write_verdicts_csv,
 )
-from rlcband.circuit import _CSV_BLOCK, write_csv
+from rlcband import circuit
+from rlcband.circuit import _CSV_BLOCK, _PART_MIN_VALUES, write_csv
 from rlcband.cli import main
 
 from conftest import make_step_trace
@@ -75,6 +80,30 @@ def _reference_verdicts_csv(report, path):
             )
 
 
+@pytest.fixture
+def fork_count(monkeypatch):
+    """Counts os.fork calls in this process; the children run as usual."""
+    counter = {"forks": 0}
+    fork = os.fork
+
+    def counted():
+        counter["forks"] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return counter
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forks(rows, columns, cpus):
+    """Children write_csv forks for a table of rows by columns."""
+    return max(1, min(cpus, rows * columns // _PART_MIN_VALUES)) - 1
+
+
 def test_simulate_outputs_match_per_row_writers(tmp_path):
     config = tmp_path / "circuit.json"
     config.write_text(json.dumps(DEMO_CONFIG))
@@ -106,8 +135,11 @@ def test_verdicts_match_per_row_writer(tmp_path, demo_params, demo_band):
     assert verdicts.read_bytes() == reference.read_bytes()
 
 
-@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK, _CSV_BLOCK + 1])
-def test_write_csv_special_values(tmp_path, rows):
+# above _CSV_BLOCK + 1 rows: 2 and 4 parts, odd rows in the second
+@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK, _CSV_BLOCK + 1, _PART_MIN_VALUES + 1,
+                                  4 * _PART_MIN_VALUES + 3])
+def test_write_csv_special_values(tmp_path, monkeypatch, fork_count, rows):
+    monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
     special = [0.0, -0.0, 5e-324, -1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1]
     x = np.resize(np.array(special), rows)
     flags = np.arange(rows) % 3 == 0
@@ -115,3 +147,147 @@ def test_write_csv_special_values(tmp_path, rows):
     write_csv(path, "x,flag\n", "%.17g,%d\n", (x, flags))
     expected = "x,flag\n" + "".join(f"{a:.17g},{int(b)}\n" for a, b in zip(x, flags))
     assert path.read_bytes() == expected.encode()
+    assert fork_count["forks"] == _forks(rows, 2, 4)
+    _assert_no_children()
+
+
+def _least_rows(parts, columns):
+    """Fewest rows that write_csv splits into parts parts, CPUs permitting."""
+    return -(-parts * _PART_MIN_VALUES // columns)
+
+
+def _straddling_rows(*columns):
+    """Row counts on both sides of each part-count crossover, and around
+    the parts' block edges: odd remainders among them."""
+    rows = set()
+    for parts in (2, 3, 4):
+        for c in columns:
+            rows |= {_least_rows(parts, c) - 1, _least_rows(parts, c)}
+        rows |= {parts * _CSV_BLOCK - 1, parts * _CSV_BLOCK + 1}
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("rows", _straddling_rows(4, 2))
+def test_simulate_outputs_match_per_row_writers_in_parts(tmp_path, monkeypatch, fork_count, rows):
+    config = tmp_path / "circuit.json"
+    config.write_text(json.dumps(DEMO_CONFIG))
+    params = derive_params(load_circuit_spec(config))
+    band = step_response_band(params, default_time_grid(params, points=rows))
+    _reference_band_csv(band, tmp_path / "band.csv")
+    _reference_nominal_csv(band, tmp_path / "nominal.csv")
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(circuit, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"out{cpus}"
+        forks = fork_count["forks"]
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--grid-points", str(rows)]) == 0
+        assert fork_count["forks"] - forks == _forks(rows, 4, cpus) + _forks(rows, 2, cpus)
+        for name in ("band.csv", "nominal.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), (cpus, name)
+        assert sorted(os.listdir(out)) == ["band.csv", "nominal.csv"]
+        _assert_no_children()
+
+
+@pytest.fixture(scope="module")
+def mixed_report(demo_params, demo_band):
+    """A verdict report of 20 001 rows that mixes both verdicts."""
+    xi = 3.0 * demo_params.xi_nominal
+    w0 = demo_params.omega0_nominal
+    tr = make_step_trace(xi, w0, w0 * np.sqrt(1.0 - xi * xi), dt=1.5e-6, t_end=0.03)
+    return check_enclosure(tr, demo_band)
+
+
+@pytest.mark.parametrize("rows", _straddling_rows(5))
+def test_verdicts_match_per_row_writer_in_parts(tmp_path, monkeypatch, fork_count, mixed_report,
+                                                rows):
+    report = dataclasses.replace(
+        mixed_report, total=rows, inside=int(mixed_report.verdicts[:rows].sum()),
+        **{name: getattr(mixed_report, name)[:rows]
+           for name in ("times", "values", "lower", "upper", "verdicts")})
+    assert 0 < report.inside < report.total
+    reference = tmp_path / "reference.csv"
+    _reference_verdicts_csv(report, reference)
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(circuit, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"out{cpus}"
+        out.mkdir()
+        forks = fork_count["forks"]
+        write_verdicts_csv(report, out / "verdicts.csv")
+        assert fork_count["forks"] - forks == _forks(rows, 5, cpus)
+        assert (out / "verdicts.csv").read_bytes() == reference.read_bytes(), cpus
+        assert os.listdir(out) == ["verdicts.csv"]
+        _assert_no_children()
+
+
+def _no_fork():
+    pytest.fail("write_csv forked")
+
+
+@pytest.mark.parametrize("cpus, rows", [(1, 4 * _PART_MIN_VALUES), (4, 2 * _PART_MIN_VALUES - 1)])
+def test_one_part_does_not_fork(tmp_path, monkeypatch, cpus, rows):
+    monkeypatch.setattr(circuit, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    x = np.arange(rows) / 7.0
+    write_csv(tmp_path / "x.csv", "x\n", "%.17g\n", (x,))
+    assert (tmp_path / "x.csv").read_text() == "x\n" + "".join(f"{a:.17g}\n" for a in x)
+
+
+def test_without_fork_writes_one_part(tmp_path, monkeypatch):
+    monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    x = np.arange(4 * _PART_MIN_VALUES) / 7.0
+    write_csv(tmp_path / "x.csv", "x\n", "%.17g\n", (x,))
+    assert (tmp_path / "x.csv").read_text() == "x\n" + "".join(f"{a:.17g}\n" for a in x)
+
+
+def _failing_in_parts(monkeypatch, fail_start):
+    """write_csv in 4 parts whose row writer raises for parts at fail_start."""
+    write_rows = circuit._write_rows
+
+    def failing(fh, row_format, columns, start, stop):
+        if fail_start(start):
+            raise OSError("part failed")
+        write_rows(fh, row_format, columns, start, stop)
+
+    monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(circuit, "_write_rows", failing)
+
+
+def test_failing_child_raises_oserror(tmp_path, monkeypatch):
+    _failing_in_parts(monkeypatch, lambda start: start > 0)
+    x = np.arange(4 * _PART_MIN_VALUES) / 7.0
+    with pytest.raises(OSError, match="child exited with status 1"):
+        write_csv(tmp_path / "x.csv", "x\n", "%.17g\n", (x,))
+    _assert_no_children()
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def test_failing_child_exits_cli_with_one_line(tmp_path, monkeypatch, capsys):
+    _failing_in_parts(monkeypatch, lambda start: start > 0)
+    config = tmp_path / "circuit.json"
+    config.write_text(json.dumps(DEMO_CONFIG))
+    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out"),
+               "--grid-points", str(4 * _PART_MIN_VALUES)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    _assert_no_children()
+
+
+def test_parent_raise_kills_children(tmp_path, monkeypatch):
+    write_rows = circuit._write_rows
+
+    def slow_children(fh, row_format, columns, start, stop):
+        if start > 0:
+            time.sleep(60.0)  # in a child: only a kill ends it early
+        write_rows(fh, row_format, columns, start, stop)
+        raise KeyboardInterrupt  # in the parent, after its own part: not an Exception
+
+    monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(circuit, "_write_rows", slow_children)
+    x = np.arange(4 * _PART_MIN_VALUES) / 7.0
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        write_csv(tmp_path / "x.csv", "x\n", "%.17g\n", (x,))
+    assert time.perf_counter() - t0 < 30.0
+    _assert_no_children()
