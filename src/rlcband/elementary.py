@@ -1,10 +1,13 @@
 """Rigorous interval enclosures for exp, ln, sqrt, sin, cos and arccos.
 
 Policy: point evaluations of exp, ln, cos and arccos are assumed faithful
-to 1 ulp and every inexact endpoint is widened by 2 ulp outward, so a
-degenerate input yields an enclosure at most 4 ulp wide.  ``isqrt`` is the
-exception: IEEE 754 requires a correctly rounded square root, so exact roots
-are returned exactly and inexact ones widened by a single ulp.
+to 1 ulp, and every endpoint they give, exact or not, is widened by 2 ulp
+outward and then clipped to the function's range, so a degenerate input
+yields an enclosure at most 4 ulp wide.  Exact results are widened too:
+iln([1, 1]) is [-9.88e-324; 9.88e-324] around the exact 0, and iacos([1, 1])
+is [0; 9.88e-324].  ``isqrt`` is the exception: IEEE 754 requires a
+correctly rounded square root, so exact roots are returned exactly and
+inexact ones widened by a single ulp.
 
 sin and cos return exact range enclosures: the result is pinned to +/-1
 whenever a maximiser/minimiser may lie inside the argument interval,
