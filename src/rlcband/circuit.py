@@ -18,7 +18,6 @@ arrays of endpoint rows, one block of grid points at a time.
 import json
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -322,21 +321,24 @@ def _usable_cpus() -> int:
 def _write_rows(fh, row_format: str, columns, start: int, stop: int) -> None:
     """Write rows start..stop-1; one %-operation formats a block of rows."""
     for begin in range(start, stop, _CSV_BLOCK):
-        block = [column[begin:min(begin + _CSV_BLOCK, stop)].tolist() for column in columns]
-        fh.write((row_format * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+        end = min(begin + _CSV_BLOCK, stop)
+        values = np.column_stack([column[begin:end] for column in columns]).ravel().tolist()
+        fh.write(((row_format * (end - begin)) % tuple(values)).encode())
 
 
 def write_csv(path, header: str, row_format: str, columns) -> None:
     """Write header, then row_format (a conversion per column and the line
-    terminator) for each row.
+    terminator) for each row, as bytes.  The rows are formatted from float64
+    values, so a %d column holds booleans or integers below 2**53.
 
     The rows are split into P contiguous parts, one per usable CPU but none
     under _PART_MIN_VALUES values; P is 1 where os.fork is missing.  Forked
-    children format parts 1..P-1 into anonymous temporary files while this
-    process formats part 0 into the output, then the parts are appended in
-    order, so the bytes do not depend on P.  A child leaves only by os._exit,
-    so it never flushes a buffer it inherited.  A failed child raises
-    OSError; any exception here kills and reaps the children first.
+    children format parts 1..P-1 into anonymous binary temporary files while
+    this process formats part 0 into the output, then the parts are appended
+    in order, so the bytes do not depend on P.  A child flushes its temporary
+    file and leaves only by os._exit, so it never flushes a buffer it
+    inherited.  A failed child raises OSError; any exception here kills and
+    reaps the children first.
     """
     # numpy has imported these already, so they cost nothing at start-up.
     import os
@@ -348,8 +350,8 @@ def write_csv(path, header: str, row_format: str, columns) -> None:
     if hasattr(os, "fork"):
         parts = max(1, min(_usable_cpus(), rows * len(columns) // _PART_MIN_VALUES))
     ends = [rows * k // parts for k in range(parts + 1)]
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
         temps = [tempfile.TemporaryFile() for _ in range(parts - 1)]
         children = []
         try:
@@ -358,15 +360,13 @@ def write_csv(path, header: str, row_format: str, columns) -> None:
                 if pid == 0:
                     status = 1
                     try:
-                        with open(tmp.fileno(), "w", newline="", encoding=fh.encoding,
-                                  closefd=False) as part:
-                            _write_rows(part, row_format, columns, ends[k], ends[k + 1])
+                        _write_rows(tmp, row_format, columns, ends[k], ends[k + 1])
+                        tmp.flush()
                         status = 0
                     finally:
                         os._exit(status)
                 children.append(pid)
             _write_rows(fh, row_format, columns, 0, ends[1])
-            fh.flush()
             for k, tmp in enumerate(temps, 1):
                 _, status = os.waitpid(children[0], 0)
                 del children[0]
@@ -374,7 +374,7 @@ def write_csv(path, header: str, row_format: str, columns) -> None:
                     raise OSError(f"writing rows {ends[k]}..{ends[k + 1] - 1} of {path}: "
                                   f"child exited with status {os.waitstatus_to_exitcode(status)}")
                 tmp.seek(0)
-                shutil.copyfileobj(tmp, fh.buffer)
+                shutil.copyfileobj(tmp, fh)
         except BaseException:
             import signal  # not loaded at start-up, and needed only here
 

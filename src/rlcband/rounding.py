@@ -157,7 +157,7 @@ def mul_array(a, b, d) -> np.ndarray:
     p, e = two_product(a, b)
     step = e * d > 0.0
     # A zero factor gives an exact zero, which the sign of e (0) leaves in
-    # place; testing for it keeps a grid's t = 0 off the full rule.
-    if ((abs(p) < _MIN_NORMAL) | (e != e)).any() and _product_unreliable(a, b, p, e).any():
+    # place, and is not unreliable: a grid's t = 0 stays off the full rule.
+    if _product_unreliable(a, b, p, e).any():
         step = _mul_step(a, b, p, e, d)
     return np.nextafter(p, np.where(step, d * np.inf, p))

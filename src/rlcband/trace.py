@@ -217,10 +217,6 @@ class EnclosureReport:
     verdicts: np.ndarray
     excluded: int  # samples outside the band's time range
 
-    def __post_init__(self):
-        if self.inside > self.total:
-            raise ValueError("inside count cannot exceed total")
-
 
 def check_enclosure(trace: Trace, band: ResponseBand) -> EnclosureReport:
     """Verify each trace sample lies inside the band.
@@ -247,9 +243,7 @@ def check_enclosure(trace: Trace, band: ResponseBand) -> EnclosureReport:
     values = trace.v[start:stop]
     lower = np.interp(times, band.t, band.lower)
     upper = np.interp(times, band.t, band.upper)
-    bound = np.subtract(lower, CHECK_SLACK)
-    verdicts = values >= bound
-    verdicts &= values <= np.add(upper, CHECK_SLACK, out=bound)
+    verdicts = (values >= lower - CHECK_SLACK) & (values <= upper + CHECK_SLACK)
     total = int(times.size)
     inside = int(verdicts.sum())
     worst = None
