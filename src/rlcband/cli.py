@@ -71,6 +71,9 @@ def _band_from_args(args):
     spec = load_circuit_spec(args.config)
     params = derive_params(spec)
     grid = default_time_grid(params, points=args.grid_points, t_end_mult=args.t_end_mult)
+    if not (grid[1:] > grid[:-1]).all():
+        raise ConfigError(f"--t-end-mult {args.t_end_mult} is too small: "
+                          f"the {args.grid_points}-point grid repeats a time")
     return params, step_response_band(params, grid)
 
 

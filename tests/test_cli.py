@@ -15,18 +15,14 @@ from rlcband.cli import (
     main,
 )
 
-from conftest import make_step_trace, write_trace_csv
-
-XI_NOMINAL = 0.05389999999999999720
-W0_NOMINAL = 9999.99999999999995
-
-
-DEMO_CONFIG = {
-    "r_ohms": 100.0, "r_tol_pct": 5.0,
-    "rl_ohms": 7.8, "rl_tol_pct": 5.0,
-    "l_henries": 0.1, "l_tol_pct": 10.0,
-    "c_farads": 100e-9, "c_tol_pct": 20.0,
-}
+from conftest import (
+    DEMO_CONFIG,
+    IN_BOX_COMPONENTS,
+    W0_NOMINAL,
+    XI_NOMINAL,
+    make_step_trace,
+    write_trace_csv,
+)
 
 
 @pytest.fixture()
@@ -48,7 +44,7 @@ def zero_tol_config(tmp_path):
 
 
 def _in_box_trace_csv(tmp_path):
-    r, rl, l, c = 98.0, 8.0, 0.104, 1.1e-7
+    r, rl, l, c = IN_BOX_COMPONENTS
     xi = float((r + rl) / 2.0 * np.sqrt(c / l))
     w0 = float(1.0 / np.sqrt(l * c))
     wd = float(w0 * np.sqrt(1.0 - xi * xi))
@@ -132,6 +128,14 @@ def test_simulate_non_finite_config_exit_code(tmp_path, capsys, key, value):
     assert len(err) == 1 and f"{key} must be finite" in err[0]
 
 
+def test_config_not_an_object_exit_code(tmp_path, capsys):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(list(DEMO_CONFIG.values())))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [f"error: config {path} must be a JSON object"]
+
+
 def test_simulate_bad_t_end_mult_exit_code(tmp_path, config_path, capsys):
     for value in ("-1", "0", "nan", "inf"):
         rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path),
@@ -139,6 +143,21 @@ def test_simulate_bad_t_end_mult_exit_code(tmp_path, config_path, capsys):
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --t-end-mult")
+
+
+@pytest.mark.parametrize("command", ["simulate", "metrics", "check"])
+def test_t_end_mult_that_repeats_a_grid_time_exit_code(tmp_path, config_path, capsys, command):
+    # the grid ends near 7e-323 s, where np.linspace repeats subnormal times
+    argv = [command, "--config", str(config_path), "--t-end-mult", "1e-320"]
+    if command != "metrics":
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "check":
+        argv += ["--trace", str(_in_box_trace_csv(tmp_path))]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --t-end-mult 1e-320 is too small: the 2000-point grid repeats a time"]
 
 
 def test_simulate_deterministic(tmp_path, config_path):
@@ -180,6 +199,7 @@ def test_grid_points_bound_is_accepted(config_path, monkeypatch):
 
     def grid(params, points, t_end_mult):
         seen.append(points)
+        return np.array([0.0, 1.0])  # stands in for the grid, which is not built
 
     def no_band(params, grid):
         raise rlcband.DomainError("stop after the grid")
@@ -371,7 +391,7 @@ def test_identify_domain_error_exit():
 def test_identify_bad_flag_value_exit(capsys):
     # a value that float() or Interval rejects is an input error alike
     for flags in (["--mp", "zero"], ["--mp", "0.9,0.1"], ["--mp", "nan"],
-                  ["--mp", "0.5", "--tp", "inf"]):
+                  ["--mp", "0.5", "--tp", "inf"], ["--mp", "0.1,0.2,0.3"]):
         assert main(["identify", *flags]) == EXIT_CONFIG, flags
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: bad {flags[-2]} value"), err
