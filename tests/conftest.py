@@ -1,5 +1,5 @@
-"""Shared fixtures: the demo circuit, derived parameters, the default band,
-and synthetic trace builders."""
+"""Shared fixtures: the demo circuit, its oracle values, derived parameters,
+the default band, and synthetic trace builders."""
 
 import csv
 
@@ -14,6 +14,26 @@ from rlcband import (
     step_response_band,
     step_response_curve,
 )
+
+# mpmath oracle: nominal parameters and specs of the demo circuit,
+# R = 100 + 7.8 ohm, L = 0.1 H, C = 100 nF
+XI_NOMINAL = 0.05389999999999999720
+W0_NOMINAL = 9999.99999999999995
+WD_NOMINAL = 9985.46338434025800
+MP_NOMINAL = 0.8440206198662326
+TP_NOMINAL = 3.146166114350395e-4
+TA_NOMINAL = 7.421150278293136e-3
+
+# the demo circuit as a config file's JSON object
+DEMO_CONFIG = {
+    "r_ohms": 100.0, "r_tol_pct": 5.0,
+    "rl_ohms": 7.8, "rl_tol_pct": 5.0,
+    "l_henries": 0.1, "l_tol_pct": 10.0,
+    "c_farads": 100e-9, "c_tol_pct": 20.0,
+}
+
+# component values well inside the demo box: R, RL, L and C
+IN_BOX_COMPONENTS = (98.0, 8.0, 0.104, 1.1e-7)
 
 
 @pytest.fixture(scope="session")

@@ -30,14 +30,9 @@ from rlcband import (
 )
 
 import reference
+from conftest import DEMO_CONFIG, TA_NOMINAL, TP_NOMINAL, W0_NOMINAL, WD_NOMINAL, XI_NOMINAL
 from reference import icos, iexp, isin, simulate_ode_point, step_response_point
 
-# oracle: nominal parameters for R=100+7.8 ohm, L=0.1 H, C=100 nF
-XI_NOMINAL = 0.05389999999999999720
-W0_NOMINAL = 9999.99999999999995
-WD_NOMINAL = 9985.46338434025800
-TP_NOMINAL = 3.146166114350395e-4
-TA_NOMINAL = 7.421150278293136e-3
 PEAK_VALUE = 1.8440206198662326  # response value at the first peak
 
 # oracle: corner enumeration over the as-constructed component box
@@ -60,15 +55,6 @@ def test_resistance_interval_includes_winding(demo_spec):
     r = demo_spec.resistance_interval()
     assert r.lo <= 95.0 + 7.41 and r.hi >= 105.0 + 8.19
     assert r.lo <= demo_spec.r_ohms + demo_spec.rl_ohms <= r.hi
-
-
-# the demo circuit as a config file's JSON object
-DEMO_CONFIG = {
-    "r_ohms": 100.0, "r_tol_pct": 5.0,
-    "rl_ohms": 7.8, "rl_tol_pct": 5.0,
-    "l_henries": 0.1, "l_tol_pct": 10.0,
-    "c_farads": 100e-9, "c_tol_pct": 20.0,
-}
 
 
 def test_config_roundtrip(tmp_path, demo_spec):
@@ -240,6 +226,13 @@ def test_band_grid_defaults(demo_params):
     assert grid[-1] == pytest.approx(5 * TA_NOMINAL, rel=1e-12)
 
 
+def test_band_grid_rejects_bad_arguments(demo_params):
+    with pytest.raises(ValueError, match="grid needs at least 2 points"):
+        default_time_grid(demo_params, points=1)
+    with pytest.raises(ValueError, match="t_end_mult must be positive"):
+        default_time_grid(demo_params, t_end_mult=0.0)
+
+
 def test_band_contains_nominal_everywhere(demo_band):
     assert np.all(demo_band.lower <= demo_band.nominal)
     assert np.all(demo_band.nominal <= demo_band.upper)
@@ -379,6 +372,12 @@ def test_band_validation_rejects_bad_arrays():
         ResponseBand(t, ones, ones - 1.0, ones)  # nominal below lower
     with pytest.raises(ValueError):
         ResponseBand(t[::-1].copy(), ones, ones, ones)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        ResponseBand(t[:1], ones[:1], ones[:1], ones[:1])
+    with pytest.raises(ValueError, match="lower shape does not match the grid"):
+        ResponseBand(t, ones[:9], ones, ones)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ResponseBand(np.repeat(t, 2)[1:], *[np.ones(19)] * 3)  # starts at 0, repeats times
 
 
 # --- ODE cross-check ---

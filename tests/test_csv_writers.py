@@ -29,17 +29,10 @@ from rlcband import circuit
 from rlcband.circuit import _CSV_BLOCK, _PART_MIN_VALUES, write_csv
 from rlcband.cli import main
 
-from conftest import make_step_trace
+from conftest import DEMO_CONFIG, make_step_trace
 
 # two full blocks and one row more
 ROWS = 2 * _CSV_BLOCK + 1
-
-DEMO_CONFIG = {
-    "r_ohms": 100.0, "r_tol_pct": 5.0,
-    "rl_ohms": 7.8, "rl_tol_pct": 5.0,
-    "l_henries": 0.1, "l_tol_pct": 10.0,
-    "c_farads": 100e-9, "c_tol_pct": 20.0,
-}
 
 
 def _reference_band_csv(band, path):

@@ -90,6 +90,11 @@ def test_tolerance_negative_rejected():
         Interval.from_nominal_tolerance(100.0, 1.0)
 
 
+def test_tolerance_non_finite_nominal_rejected():
+    with pytest.raises(IntervalError, match="nominal must be finite, got inf"):
+        Interval.from_nominal_tolerance(float("inf"), 0.1)
+
+
 def test_tolerance_negative_nominal_orders_endpoints():
     x = Interval.from_nominal_tolerance(-10.0, 0.1)
     assert x.lo <= -11.0 <= -9.0 <= x.hi

@@ -27,12 +27,9 @@ from rlcband import (
 )
 from rlcband.rounding import add_up
 
-XI_NOMINAL = 0.05389999999999999720
-WD_NOMINAL = 9985.46338434025800
-MP_NOMINAL = 0.8440206198662326
-TP_NOMINAL = 3.146166114350395e-4
+from conftest import MP_NOMINAL, TA_NOMINAL, TP_NOMINAL, WD_NOMINAL, XI_NOMINAL
+
 TS_NOMINAL = 1.6270876942891985e-4
-TA_NOMINAL = 7.421150278293136e-3
 
 XI_BOX = Interval(0.043667770723956112, 0.065350276969573767)
 W0_BOX = Interval(8703.8827977848905, 11785.113019775794)

@@ -22,13 +22,16 @@ from rlcband import (
 
 from rlcband.trace import CHECK_SLACK
 
-from conftest import make_step_trace, write_trace_csv
-
-XI_NOMINAL = 0.05389999999999999720
-W0_NOMINAL = 9999.99999999999995
-WD_NOMINAL = 9985.46338434025800
-MP_NOMINAL = 0.8440206198662326
-TP_NOMINAL = 3.146166114350395e-4
+from conftest import (
+    IN_BOX_COMPONENTS,
+    MP_NOMINAL,
+    TP_NOMINAL,
+    W0_NOMINAL,
+    WD_NOMINAL,
+    XI_NOMINAL,
+    make_step_trace,
+    write_trace_csv,
+)
 
 XI_EXP = 0.10727654785269201
 WD_EXP = 9951.196
@@ -291,6 +294,13 @@ def test_normalize_rejects_unsettled_capture():
             normalize(tr)
 
 
+def test_normalize_rejects_capture_settling_below_its_plateau():
+    # a varying plateau near 0.11, a spike to 1, then steady at 0.05
+    v = np.concatenate([np.tile([0.1, 0.12], 25), np.ones(50), np.full(100, 0.05)])
+    with pytest.raises(TraceError, match="no upward step"):
+        normalize(Trace(np.arange(200) * 1e-3, v))
+
+
 # --- measure_specs ---
 
 def test_measure_nominal_trace_at_1mhz():
@@ -330,6 +340,12 @@ def test_measure_rejects_overdamped():
         measure_specs(Trace(t, v))
 
 
+def test_measure_rejects_trace_starting_at_final_value():
+    t = np.arange(1000, dtype=np.float64) * 1e-4
+    with pytest.raises(TraceError, match="begins at or above the final value"):
+        measure_specs(Trace(t, 1.0 + 0.5 * np.exp(-t / 1e-2)))
+
+
 def test_measure_rejects_flat_line():
     t = np.arange(100, dtype=np.float64) * 1e-4
     with pytest.raises(TraceError, match="not usefully underdamped"):
@@ -339,8 +355,7 @@ def test_measure_rejects_flat_line():
 # --- check_enclosure ---
 
 def _in_box_trace(dt=2e-5, t_end=0.035):
-    # component values well inside the toleranced box
-    r, rl, l, c = 98.0, 8.0, 0.104, 1.1e-7
+    r, rl, l, c = IN_BOX_COMPONENTS
     xi = (r + rl) / 2.0 * np.sqrt(c / l)
     w0 = 1.0 / np.sqrt(l * c)
     wd = w0 * np.sqrt(1.0 - xi * xi)
@@ -378,6 +393,13 @@ def test_enclosure_disjoint_ranges_rejected(demo_band):
     t = np.arange(100, dtype=np.float64) * 1e-3 + 1.0
     with pytest.raises(TraceError, match="but the band covers"):
         check_enclosure(Trace(t, np.ones(100)), demo_band)
+
+
+def test_enclosure_no_sample_inside_a_short_band_rejected():
+    band = ResponseBand([0.0, 1e-9], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0])
+    t = (np.arange(100) - 49.5) * 1e-3  # straddles [0, 1e-9], none inside
+    with pytest.raises(TraceError, match="no trace samples fall inside the band grid"):
+        check_enclosure(Trace(t, np.full(100, 0.5)), band)
 
 
 def test_enclosure_monotone_in_band_width(demo_band):
