@@ -11,8 +11,9 @@ write goes to a temporary directory, which is removed afterwards. The
 script prints one line per artefact, ``equal`` or ``different``, and exits 1
 if any artefact differs, else 0. The artefacts:
 
-* ``simulate`` on the demo circuit at 2 000 and 20 000 grid points:
-  ``band.csv`` and ``nominal.csv``;
+* ``simulate`` on the demo circuit at 2 000, 12 289 and 20 000 grid
+  points: ``band.csv`` and ``nominal.csv``. On two CPUs the 12 289 rows
+  are two parts split at row 6 144, off a 4 096-row block seam;
 * ``check`` of the bundled trace at both grids: ``verdicts.csv``, and the
   exit code with stdout;
 * ``check`` of a deep capture at the default grid: ``verdicts.csv`` (99 201
@@ -54,6 +55,8 @@ from pathlib import Path
 import numpy as np
 
 GRIDS = (2000, 20000)
+# simulate only: two parts on two CPUs, split at row 6 144, mid-block
+PARTS_GRID = 12289
 SWEEP_CIRCUITS = 128
 SWEEP_POINTS = 400
 SWEEP_SEED = 17
@@ -265,11 +268,13 @@ def artefacts(root, work):
     config = str(root / "data" / "demo_circuit.json")
     trace = str(root / "data" / "experiment_trace.csv")
     out = {}
-    for points in GRIDS:
+    for points in (*GRIDS, PARTS_GRID):
         grid = ("--config", config, "--grid-points", str(points))
         _cli(root, work, "simulate", *grid, "--out", f"sim{points}")
         for name in ("band.csv", "nominal.csv"):
             out[f"simulate {points} {name}"] = _read(work / f"sim{points}" / name)
+    for points in GRIDS:
+        grid = ("--config", config, "--grid-points", str(points))
         status = _cli(root, work, "check", *grid, "--trace", trace, "--out", f"check{points}")
         out[f"check {points} verdicts.csv"] = _read(work / f"check{points}" / "verdicts.csv")
         out[f"check {points} exit and stdout"] = status

@@ -16,6 +16,7 @@ arrays of endpoint rows, one block of grid points at a time.
 """
 
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -240,8 +241,10 @@ def default_time_grid(
         raise ValueError("grid needs at least 2 points")
     if t_end_mult <= 0.0:
         raise ValueError("t_end_mult must be positive")
-    t_settle = 4.0 / (params.xi_nominal * params.omega0_nominal)
-    return np.linspace(0.0, t_end_mult * t_settle, points)
+    t_end = t_end_mult * (4.0 / (params.xi_nominal * params.omega0_nominal))
+    if not math.isfinite(t_end):
+        raise ValueError("the grid end overflows")
+    return np.linspace(0.0, t_end, points)
 
 
 # Grid points per array evaluation: bounds the temporaries of a long grid.
@@ -318,63 +321,77 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_rows(fh, row_format: str, columns, start: int, stop: int) -> None:
-    """Write rows start..stop-1; one %-operation formats a block of rows."""
+def _write_rows(outs, row_format: str, columns, start: int, stop: int) -> None:
+    """Write rows start..stop-1 to each (file, cut) of outs.  One %-operation
+    formats a block of rows; a file with a cut gets cut(text) of that text."""
     for begin in range(start, stop, _CSV_BLOCK):
         end = min(begin + _CSV_BLOCK, stop)
         values = np.column_stack([column[begin:end] for column in columns]).ravel().tolist()
-        fh.write(((row_format * (end - begin)) % tuple(values)).encode())
+        text = (row_format * (end - begin)) % tuple(values)
+        for fh, cut in outs:
+            fh.write((cut(text) if cut else text).encode())
 
 
-def write_csv(path, header: str, row_format: str, columns) -> None:
+def write_csv(path, header: str, row_format: str, columns, cuts=()) -> None:
     """Write header, then row_format (a conversion per column and the line
     terminator) for each row, as bytes.  The rows are formatted from float64
-    values, so a %d column holds booleans or integers below 2**53.
+    values, so a %d column holds booleans or integers below 2**53.  Each
+    (path, header, cut) of cuts is one more file: its header, then cut(text)
+    of each block's text, so that file formats no value again.
 
     The rows are split into P contiguous parts, one per usable CPU but none
     under _PART_MIN_VALUES values; P is 1 where os.fork is missing.  Forked
-    children format parts 1..P-1 into anonymous binary temporary files while
-    this process formats part 0 into the output, then the parts are appended
-    in order, so the bytes do not depend on P.  A child flushes its temporary
-    file and leaves only by os._exit, so it never flushes a buffer it
-    inherited.  A failed child raises OSError; any exception here kills and
-    reaps the children first.
+    children format parts 1..P-1 into anonymous binary temporary files, one
+    per output, while this process formats part 0 into the outputs, then the
+    parts are appended in order, so the bytes do not depend on P.  A child
+    flushes its temporary files and leaves only by os._exit, so it never
+    flushes a buffer it inherited.  A failed child raises OSError; any
+    exception here kills and reaps the children first.
     """
     # numpy has imported these already, so they cost nothing at start-up.
+    import contextlib
     import os
     import shutil
     import tempfile
 
+    outputs = [(path, header, None), *cuts]
     rows = len(columns[0])
     parts = 1
     if hasattr(os, "fork"):
         parts = max(1, min(_usable_cpus(), rows * len(columns) // _PART_MIN_VALUES))
     ends = [rows * k // parts for k in range(parts + 1)]
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        temps = [tempfile.TemporaryFile() for _ in range(parts - 1)]
+    with contextlib.ExitStack() as files:
+        outs = []
+        for out_path, out_header, cut in outputs:
+            fh = files.enter_context(open(out_path, "wb"))
+            fh.write(out_header.encode())
+            outs.append((fh, cut))
+        temps = [[(files.enter_context(tempfile.TemporaryFile()), cut) for _, _, cut in outputs]
+                 for _ in range(parts - 1)]
         children = []
         try:
-            for k, tmp in enumerate(temps, 1):
+            for k, part in enumerate(temps, 1):
                 pid = os.fork()
                 if pid == 0:
                     status = 1
                     try:
-                        _write_rows(tmp, row_format, columns, ends[k], ends[k + 1])
-                        tmp.flush()
+                        _write_rows(part, row_format, columns, ends[k], ends[k + 1])
+                        for tmp, _ in part:
+                            tmp.flush()
                         status = 0
                     finally:
                         os._exit(status)
                 children.append(pid)
-            _write_rows(fh, row_format, columns, 0, ends[1])
-            for k, tmp in enumerate(temps, 1):
+            _write_rows(outs, row_format, columns, 0, ends[1])
+            for k, part in enumerate(temps, 1):
                 _, status = os.waitpid(children[0], 0)
                 del children[0]
                 if status != 0:
                     raise OSError(f"writing rows {ends[k]}..{ends[k + 1] - 1} of {path}: "
                                   f"child exited with status {os.waitstatus_to_exitcode(status)}")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh)
+                for (tmp, _), (fh, _) in zip(part, outs):
+                    tmp.seek(0)
+                    shutil.copyfileobj(tmp, fh)
         except BaseException:
             import signal  # not loaded at start-up, and needed only here
 
@@ -382,12 +399,21 @@ def write_csv(path, header: str, row_format: str, columns) -> None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             raise
-        finally:
-            for tmp in temps:
-                tmp.close()
 
 
-def write_band_csv(band: ResponseBand, path) -> None:
-    """Write the band as CSV with header t,lower,nominal,upper (17 sig. digits)."""
-    write_csv(path, "t,lower,nominal,upper\r\n", "%.17g,%.17g,%.17g,%.17g\r\n",
-              (band.t, band.lower, band.nominal, band.upper))
+def _nominal_rows(text: str) -> str:
+    """nominal.csv's t,v rows (LF) cut from band.csv's t,lower,nominal,upper
+    rows (CRLF): fields 0 and 2 of each."""
+    fields = text.replace("\r\n", ",").split(",")
+    rows = len(fields) // 4
+    fields[1::4] = [","] * rows
+    fields[3::4] = ["\n"] * rows
+    return "".join(fields)
+
+
+def write_band_csv(band: ResponseBand, band_path, nominal_path) -> None:
+    """Write band.csv (t,lower,nominal,upper) and nominal.csv (t,v) in one
+    pass, 17 significant digits: nominal.csv's rows are cut from band.csv's."""
+    write_csv(band_path, "t,lower,nominal,upper\r\n", "%.17g,%.17g,%.17g,%.17g\r\n",
+              (band.t, band.lower, band.nominal, band.upper),
+              [(nominal_path, "t,v\n", _nominal_rows)])

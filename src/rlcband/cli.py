@@ -23,7 +23,6 @@ from .circuit import (
     load_circuit_spec,
     step_response_band,
     write_band_csv,
-    write_csv,
 )
 from .errors import ConfigError, DomainError, IntervalError, TraceError
 from .interval import Interval
@@ -70,7 +69,10 @@ def _band_from_args(args):
         raise ConfigError(f"--t-end-mult must be positive and finite, got {args.t_end_mult}")
     spec = load_circuit_spec(args.config)
     params = derive_params(spec)
-    grid = default_time_grid(params, points=args.grid_points, t_end_mult=args.t_end_mult)
+    try:
+        grid = default_time_grid(params, points=args.grid_points, t_end_mult=args.t_end_mult)
+    except ValueError as exc:  # both flags are checked already: only the end is left
+        raise ConfigError(f"--t-end-mult {args.t_end_mult} is too large: {exc}") from exc
     if not (grid[1:] > grid[:-1]).all():
         raise ConfigError(f"--t-end-mult {args.t_end_mult} is too small: "
                           f"the {args.grid_points}-point grid repeats a time")
@@ -83,8 +85,7 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     band_path = out / "band.csv"
     nominal_path = out / "nominal.csv"
-    write_band_csv(band, band_path)
-    write_csv(nominal_path, "t,v\n", "%.17g,%.17g\n", (band.t, band.nominal))
+    write_band_csv(band, band_path, nominal_path)
     print(f"wrote {band_path}")
     print(f"wrote {nominal_path}")
     return EXIT_OK

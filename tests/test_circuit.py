@@ -231,6 +231,8 @@ def test_band_grid_rejects_bad_arguments(demo_params):
         default_time_grid(demo_params, points=1)
     with pytest.raises(ValueError, match="t_end_mult must be positive"):
         default_time_grid(demo_params, t_end_mult=0.0)
+    with pytest.raises(ValueError, match="the grid end overflows"):
+        default_time_grid(demo_params, t_end_mult=np.inf)
 
 
 def test_band_contains_nominal_everywhere(demo_band):
@@ -415,7 +417,7 @@ def test_ode_step_size_guards(demo_spec):
 
 def test_band_csv_format(tmp_path, demo_band):
     path = tmp_path / "band.csv"
-    write_band_csv(demo_band, path)
+    write_band_csv(demo_band, path, tmp_path / "nominal.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "t,lower,nominal,upper"
     assert len(lines) == demo_band.t.size + 1

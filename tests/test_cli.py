@@ -160,6 +160,25 @@ def test_t_end_mult_that_repeats_a_grid_time_exit_code(tmp_path, config_path, ca
         "error: --t-end-mult 1e-320 is too small: the 2000-point grid repeats a time"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "metrics", "check"])
+def test_t_end_mult_whose_grid_end_overflows_exit_code(tmp_path, capsys, command):
+    # a settling time of 7273 s: 1e305 of them is past the largest double
+    config = tmp_path / "slow.json"
+    config.write_text(json.dumps({"r_ohms": 1.0, "r_tol_pct": 1.0, "rl_ohms": 0.1,
+                                  "rl_tol_pct": 1.0, "l_henries": 1000.0, "l_tol_pct": 1.0,
+                                  "c_farads": 1.0, "c_tol_pct": 1.0}))
+    argv = [command, "--config", str(config), "--t-end-mult", "1e305"]
+    if command != "metrics":
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "check":
+        argv += ["--trace", str(_in_box_trace_csv(tmp_path))]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --t-end-mult 1e+305 is too large: the grid end overflows"]
+
+
 def test_simulate_deterministic(tmp_path, config_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(config_path), "--out", str(out1)]) == 0

@@ -110,8 +110,9 @@ def test_simulate_outputs_match_per_row_writers(tmp_path):
     _reference_nominal_csv(band, tmp_path / "nominal.csv")
     assert (out / "band.csv").read_bytes() == (tmp_path / "band.csv").read_bytes()
     assert (out / "nominal.csv").read_bytes() == (tmp_path / "nominal.csv").read_bytes()
-    write_band_csv(band, tmp_path / "direct.csv")
+    write_band_csv(band, tmp_path / "direct.csv", tmp_path / "direct_nominal.csv")
     assert (tmp_path / "direct.csv").read_bytes() == (out / "band.csv").read_bytes()
+    assert (tmp_path / "direct_nominal.csv").read_bytes() == (out / "nominal.csv").read_bytes()
 
 
 def test_verdicts_match_per_row_writer(tmp_path, demo_params, demo_band):
@@ -174,7 +175,8 @@ def test_simulate_outputs_match_per_row_writers_in_parts(tmp_path, monkeypatch, 
         forks = fork_count["forks"]
         assert main(["simulate", "--config", str(config), "--out", str(out),
                      "--grid-points", str(rows)]) == 0
-        assert fork_count["forks"] - forks == _forks(rows, 4, cpus) + _forks(rows, 2, cpus)
+        # one set of parts writes both files
+        assert fork_count["forks"] - forks == _forks(rows, 4, cpus)
         for name in ("band.csv", "nominal.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), (cpus, name)
         assert sorted(os.listdir(out)) == ["band.csv", "nominal.csv"]
@@ -237,10 +239,10 @@ def _failing_in_parts(monkeypatch, fail_start):
     """write_csv in 4 parts whose row writer raises for parts at fail_start."""
     write_rows = circuit._write_rows
 
-    def failing(fh, row_format, columns, start, stop):
+    def failing(outs, row_format, columns, start, stop):
         if fail_start(start):
             raise OSError("part failed")
-        write_rows(fh, row_format, columns, start, stop)
+        write_rows(outs, row_format, columns, start, stop)
 
     monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(circuit, "_write_rows", failing)
@@ -270,10 +272,10 @@ def test_failing_child_exits_cli_with_one_line(tmp_path, monkeypatch, capsys):
 def test_parent_raise_kills_children(tmp_path, monkeypatch):
     write_rows = circuit._write_rows
 
-    def slow_children(fh, row_format, columns, start, stop):
+    def slow_children(outs, row_format, columns, start, stop):
         if start > 0:
             time.sleep(60.0)  # in a child: only a kill ends it early
-        write_rows(fh, row_format, columns, start, stop)
+        write_rows(outs, row_format, columns, start, stop)
         raise KeyboardInterrupt  # in the parent, after its own part: not an Exception
 
     monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
