@@ -35,7 +35,12 @@ if any artefact differs, else 0. The artefacts:
   ``icos``, ``isin``, ``iacos``) and one for
   ``Interval.from_nominal_tolerance``, on seeded inputs: degenerate, narrow
   and wide intervals, ``ln`` near 0 and 1, ``acos`` near +-1, trig near
-  multiples of pi, nominals of both signs and zero.
+  multiples of pi, nominals of both signs and zero;
+* one SHA-1 of ``write_csv``'s bytes for a seeded 100 000-row table of three
+  ``%.17g`` columns: raw 64-bit patterns, and one value in ten a special one
+  (+-0, +-inf, NaN, subnormals, +-max, ties, and the powers of ten from
+  1e-31 to 1e31 and the edges of the text kernel's fast range, each with
+  both neighbours). On two CPUs it is written in two parts.
 
 NaN results count as one value, and an operation that raises counts as its
 exception's name. The hashing code is this script's, on both sides: the
@@ -57,6 +62,8 @@ import numpy as np
 GRIDS = (2000, 20000)
 # simulate only: two parts on two CPUs, split at row 6 144, mid-block
 PARTS_GRID = 12289
+# write_csv's text kernel: rows of the edge table, two parts on two CPUs
+EDGE_ROWS = 100_000
 SWEEP_CIRCUITS = 128
 SWEEP_POINTS = 400
 SWEEP_SEED = 17
@@ -119,6 +126,33 @@ def sweep_digests():
         record("band Mp", lambda: _intervals(overshoot_from_band(band)))
         record("identify", lambda: _params_text(identify(specs.mp, specs.tp)))
     return {f"sweep {name}": h.hexdigest() for name, h in hashes.items()}
+
+
+def _special_values():
+    """+-0, +-inf, NaN, the extremes, the kernel's fast-range edges and every
+    power of ten from 1e-31 to 1e31 with both neighbours, and true ties."""
+    edges = np.array([5e-324, np.finfo(float).tiny, 1e-30, 1e30, 2.0**53,
+                      *(float(f"1e{k}") for k in range(-31, 32))])
+    values = [0.0, np.inf, np.nan, np.finfo(float).max, 1e15 + 0.25, 1e15 + 0.75, 3 * 2.0**-24,
+              *np.nextafter(edges, 0.0), *edges, *np.nextafter(edges, np.inf)]
+    return np.array(values + [-v for v in values])
+
+
+def kernel_edges_digest():
+    """{"write_csv kernel edges": SHA-1} of write_csv's bytes, in this
+    process's rlcband, for a seeded EDGE_ROWS-row table of three %.17g
+    columns: raw 64-bit patterns, one value in ten replaced by a special one."""
+    from rlcband.circuit import write_csv
+
+    rng = np.random.default_rng(SWEEP_SEED)
+    columns = rng.integers(0, 2**64, (3, EDGE_ROWS), dtype=np.uint64).view(np.float64)
+    special = _special_values()
+    columns.flat[rng.integers(0, columns.size, columns.size // 10)] = rng.choice(special, columns.size // 10)
+    path = Path("kernel_edges.csv")
+    write_csv(path, "a,b,c\n", "%.17g,%.17g,%.17g\n", tuple(columns))
+    digest = hashlib.sha1(path.read_bytes()).hexdigest()
+    path.unlink()
+    return {"write_csv kernel edges": digest}
 
 
 def _operands():
@@ -288,7 +322,8 @@ def artefacts(root, work):
         out[f"identify {' '.join(args)} stdout"] = _cli(root, work, "identify", *args,
                                                         "--precision", "17")
     code = ("import json, same_bits; print(json.dumps({**same_bits.sweep_digests(), "
-            "**same_bits.scalar_ops_digests(), **same_bits.elementary_digests()}))")
+            "**same_bits.scalar_ops_digests(), **same_bits.elementary_digests(), "
+            "**same_bits.kernel_edges_digest()}))")
     done = _python(root, code, cwd=work)
     if done.returncode != 0:
         raise SystemExit(f"error: {root}: sweep exited {done.returncode}:\n{done.stderr}")

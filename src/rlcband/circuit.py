@@ -15,6 +15,7 @@ response the component box can produce.  The band is evaluated on float64
 arrays of endpoint rows, one block of grid points at a time.
 """
 
+import itertools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .elementary import _MINUS_HALF_PI, icos_array, iexp_array, isqrt
 from .elementary import icos, iexp, isin  # noqa: F401
 from .errors import ConfigError, DomainError
 from .interval import Interval
-from .rounding import DOWN_UP, add_array, mul_array
+from .rounding import DOWN_UP, add_array, mul_array, two_product
 
 @dataclass(frozen=True)
 class CircuitSpec:
@@ -303,12 +304,16 @@ def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:
     return ResponseBand(t=grid, lower=lower, nominal=nominal, upper=upper)
 
 
-# Rows per formatting operation: bounds the text and tuple of a long table.
+# Rows per formatting operation: bounds the buffers of a long table.
 _CSV_BLOCK = 4096
-# Fewest values (rows times columns) in a part of write_csv.  Forking,
-# reaping and copying back a part cost about 1.5 ms from a 50 MB process, and
-# %.17g about 0.33 us per value, so two parts broke even at about 10 000
-# values in all (2-core VM, Python 3.11).
+# Fewest values (rows times columns) in a part of write_csv.  Set when %
+# cost about 0.33 us per value.  Re-measured with the text kernel (2-core VM,
+# Python 3.11, numpy 2.4, a slow host spell): fork, exit and wait alone take
+# about 4.7 ms from a 50 MB process, a second part about 10 ms in all, and the
+# kernel 0.4-0.8 us per value there, so two parts break even between 20 000
+# and 40 000 values in all.  Between 12 288 and that, a second part loses up
+# to about 1 ms.  Raising the threshold moves where tables split, which the
+# tests' row counts are derived from, so it is left to its own change.
 _PART_MIN_VALUES = 6144
 
 
@@ -321,23 +326,292 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# --- exact %.17g and %d text of float64 blocks, many values per numpy call ---
+#
+# A field's text is laid out in four little-endian uint64 words (32 bytes),
+# whose NUL bytes are dropped when a block is written.  In a %.17g field,
+# word 0 ends with the first digit (byte 7), led by the sign and, for a
+# fixed-form number below 1, by "0." and zeros; words 1-3 hold the other
+# digits, the decimal point and the exponent "e+XX", then NULs.  A %d field
+# ends its digits at byte 23, led by NULs and the sign.  Bytes 5-7 of word 3
+# hold the separator or line end after the field.  So each field's text is
+# one run of bytes.
+_SLOT = 4
+_TEXT_BYTES = 29  # the longest text a field holds, before its separator
+
+
+def _ten_powers(exponents):
+    """10**k for each k as double-double arrays hi, lo: hi + lo is 10**k to
+    about 2**-106 relative.  Built from Python ints: float() and the true
+    quotient of two ints are correctly rounded, and hi's integer ratio gives
+    the exact remainder of 1 / 10**j."""
+    hi, lo = [], []
+    for k in exponents:
+        if k >= 0:
+            h = float(10**k)
+            hi.append(h)
+            lo.append(float(10**k - int(h)))
+        else:
+            h = 1 / 10**-k
+            num, den = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+    return np.array(hi), np.array(lo)
+
+
+# A value of magnitude in [1e-30, 1e30) is scaled by 10**(16 - e), for e its
+# decimal exponent, or log10's estimate of it, which may be one off.
+_E_MIN, _E_MAX = -32, 32
+_TEN_HI, _TEN_LO = _ten_powers(range(16 - _E_MIN, 16 - _E_MAX - 1, -1))
+# Widest error of a scaled value's residual that still settles a rounding or
+# an exponent: the residual is within about 1e-14 of exact.
+_GUARD = 1e-6
+
+
+def _bytes_to_words(b):
+    return np.ascontiguousarray(b).view(np.uint64)
+
+
+_FIRST_DIGIT = (np.arange(10, dtype=np.uint64) + 0x30) << 56
+
+
+def _group_words(n):
+    """The 16 digits of each int64 n < 10**16, zero-filled, as ASCII in two
+    words, and the four 4-digit groups."""
+    hi = n // 10**8
+    lo = n - hi * 10**8
+    g = [hi // 10**4, None, lo // 10**4, None]
+    g[1] = hi - g[0] * 10**4
+    g[3] = lo - g[2] * 10**4
+    text = [_GROUP_TEXT.take(group) for group in g]
+    return text[0] | (text[1] << 32), text[2] | (text[3] << 32), g
+
+
+def _layouts(ends, point, sign_at, prefix, exponents=()):
+    """Byte masks and constant bytes of each field layout, as words: keep
+    (bytes kept from the digit words), shifted (bytes taken one place later,
+    after the point) and marks (sign, "0.000" prefix, point and exponent).
+    ends[i] is the end of layout i's digits and point in bytes from word 1,
+    point[i] its point's byte or -1, sign_at[i] its sign's byte or -1 and
+    prefix[i] the length of its "0.000" prefix, which ends at byte 6.  The
+    (i, e) of exponents put "e+XX" for e right after layout i's digits."""
+    rel = np.arange(8 * _SLOT) - 8
+    has_point = point[:, None] >= 0
+    keep = (rel >= 0) & (rel < np.where(has_point, point[:, None], ends[:, None]))
+    shifted = has_point & (rel > point[:, None]) & (rel < ends[:, None])
+    marks = np.zeros((len(ends), 8 * _SLOT), np.uint8)
+    marks[has_point[:, 0], 8 + point[has_point[:, 0]]] = ord(".")
+    for length in range(2, 6):
+        marks[prefix == length, 7 - length:7] = np.frombuffer(b"0.000"[:length], np.uint8)
+    signed = sign_at >= 0
+    marks[signed, sign_at[signed]] = ord("-")
+    if len(exponents):
+        rows, e = exponents
+        for i, char in enumerate((ord("e"), np.where(e < 0, ord("-"), ord("+")),
+                                  abs(e) // 10 + 0x30, abs(e) % 10 + 0x30)):
+            marks[rows, 8 + ends[rows] + i] = char
+    return (_bytes_to_words(keep * np.uint8(0xFF)), _bytes_to_words(shifted * np.uint8(0xFF)),
+            _bytes_to_words(marks))
+
+
+def _g17_layouts():
+    """Layouts of %.17g text for each key ((e - _E_MIN) * 17 + nd - 1) * 2 + neg:
+    decimal exponent e, significant digits nd and sign."""
+    key = np.arange((_E_MAX - _E_MIN + 1) * 17 * 2)
+    e, nd, neg = key // 34 + _E_MIN, key // 2 % 17 + 1, key % 2
+    # %g: fixed form for -4 <= e < 17, where a whole number keeps its zeros;
+    # else the exponent form.  The point follows digit point (counted from 0).
+    fixed = (e >= -4) & (e < 17)
+    shown = np.where(fixed & (e >= 0), np.maximum(nd, e + 1), nd)
+    point = np.where(fixed, e, 0)
+    point = np.where((point < nd - 1) & ~(fixed & (e < 0)), point, -1)
+    prefix = np.where(fixed & (e < 0), 1 - e, 0)
+    return _layouts(shown - 1 + (point >= 0), point, np.where(neg == 1, 6 - prefix, -1), prefix,
+                    (np.flatnonzero(~fixed), e[~fixed]))
+
+
+def _d_layouts():
+    """Layouts of %d text for each key digits * 2 + neg, digits 1..16."""
+    key = np.arange(17 * 2)
+    digits, neg = key // 2, key % 2
+    keep, _, marks = _layouts(np.full(digits.size, 16), np.full(digits.size, -1),
+                              np.where(neg == 1, 23 - digits, -1), np.zeros(digits.size, np.int64))
+    shown = np.arange(8 * _SLOT) >= 24 - digits[:, None]
+    return _bytes_to_words(keep.view(np.uint8) * shown), marks
+
+
+# The kernels' lookup tables.  For each 4-digit group: its ASCII in bytes 0-3
+# of a word, and for each w the place after its last nonzero digit, counted
+# from the first digit of a 16-digit number whose group w it is (0 where the
+# group is 0).  Then the %.17g and %d layouts by key.  They are built at
+# import, in about 2 ms: built on first use, they would land in the middle of
+# a large write and pin the top of the C heap, which then cannot shrink (it
+# raised scope_ingest's peak RSS from 54.6 to 61.3 MB).
+_GROUP = np.arange(10**4)
+_GROUP_TEXT = sum((_GROUP // 10**(3 - i) % 10 + 0x30) << (8 * i) for i in range(4)).astype(np.uint64)
+_GROUP_SHOWN = np.where(_GROUP > 0, 4 - (_GROUP % 10 == 0) - (_GROUP % 100 == 0) - (_GROUP % 1000 == 0), -16)
+_GROUP_END = [np.maximum(_GROUP_SHOWN + 4 * w, 0) for w in range(4)]
+_G17_LAYOUTS = _g17_layouts()
+_D_LAYOUTS = _d_layouts()
+_INT_DIGITS = 10 ** np.arange(16)  # a %d value's digits: how many of these it reaches
+
+
+def _scaled(a, e):
+    """a * 10**(16 - e) as p + r, p the rounded product with 10**(16 - e)'s
+    hi part; and that power's lo part."""
+    lo = _TEN_LO[e - _E_MIN]
+    p, err = two_product(a, _TEN_HI[e - _E_MIN])
+    return p, err + a * lo, lo
+
+
+def _g17_words(x, out):
+    """Write the %.17g text of each float64 of x to out (x.shape + (_SLOT,)
+    uint64 words); return the indexes (into x.ravel()) of the values left to
+    Python's %.
+
+    Each value a = |x| gets its 17-digit integer d and decimal exponent e: a
+    is scaled by a double-double 10**(16 - e) through two_product, and d is
+    the scaled value rounded to an integer.  Left to % are zeros, non-finite
+    values, |x| outside [1e-30, 1e30), and values whose residual lies within
+    _GUARD of a rounding tie or of a power of ten that decides e.
+    """
+    shape, x = x.shape, x.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-30) & (a < 1e30)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, r, lo = _scaled(a, e)
+    # e is right iff 1e16 <= a * 10**(16 - e) < 1e17, and d < 1e17 unless it
+    # carries; both are sure where p lies further from the ends than r reaches.
+    near = np.flatnonzero((p < 1e16 + 64) | (p > 1e17 - 256))
+    if near.size:
+        pn, rn = p[near], r[near]
+        below = (pn - 1e16) + rn
+        above = (pn - 1e17) + rn
+        # the tests are exact where the power of ten is
+        fast[near[((abs(below) <= _GUARD) | (abs(above) <= _GUARD)) & (lo[near] != 0.0)]] = False
+        e[near] += (above >= 0.0).astype(np.int64) - (below < 0.0)
+        p[near], r[near], _ = _scaled(a[near], e[near])
+    whole = np.rint(r)
+    fast &= abs(r - whole) < 0.5 - _GUARD
+    d = p.astype(np.int64) + whole.astype(np.int64)
+    carry = near[d[near] == 10**17]
+    d[carry] = 10**16
+    e[carry] += 1
+    first = d // 10**16
+    high, low, groups = _group_words(d - first * 10**16)
+    ends = [row.take(g) for row, g in zip(_GROUP_END, groups)]
+    nd = 1 + np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3]))
+    key = ((e - _E_MIN) * 17 + nd - 1) * 2 + (x < 0.0)
+    keep, shifted, marks = (np.take(t, key, axis=0) for t in _G17_LAYOUTS)
+    out[..., 0] = (marks[:, 0] | _FIRST_DIGIT[first]).reshape(shape)
+    out[..., 1] = ((high & keep[:, 1]) | ((high << 8) & shifted[:, 1]) | marks[:, 1]).reshape(shape)
+    out[..., 2] = ((low & keep[:, 2]) | (((low << 8) | (high >> 56)) & shifted[:, 2])
+                   | marks[:, 2]).reshape(shape)
+    out[..., 3] = (((low >> 56) & shifted[:, 3]) | marks[:, 3]).reshape(shape)
+    return np.flatnonzero(~fast)
+
+
+def _d_words(x, out):
+    """Write the %d text of each float64 of x to out, as _g17_words does;
+    return the indexes of values not below 2**53 in magnitude, or NaN."""
+    shape, x = x.shape, x.ravel()
+    fast = abs(x) < 2.0**53
+    n = np.trunc(np.where(fast, x, 0.0))
+    key = np.searchsorted(_INT_DIGITS, abs(n), side="right").clip(1) * 2 + (n < 0.0)
+    high, low, _ = _group_words(abs(n).astype(np.int64))
+    keep, marks = (np.take(t, key, axis=0) for t in _D_LAYOUTS)
+    out[..., 0] = marks[:, 0].reshape(shape)
+    out[..., 1] = ((high & keep[:, 1]) | marks[:, 1]).reshape(shape)
+    out[..., 2] = ((low & keep[:, 2]) | marks[:, 2]).reshape(shape)
+    out[..., 3] = 0
+    return np.flatnonzero(~fast)
+
+
+_KERNELS = {"%.17g": _g17_words, "%d": _d_words}
+# Values per kernel call.  Twice as many cost about twice as much per value:
+# the temporaries then pass the C allocator's 128 KB mmap threshold, and each
+# is mapped and faulted in afresh.
+_KERNEL_VALUES = 4096
+
+
+def _format_run(conversion: str, x, slots) -> None:
+    """Write the conversion's text of each value of x (rows by columns) to
+    slots, Python's % text where the kernel leaves a value."""
+    step = max(1, _KERNEL_VALUES // x.shape[1])
+    for start in range(0, len(x), step):
+        part, out = x[start:start + step], slots[start:start + step]
+        for i in _KERNELS[conversion](part, out):
+            value = part.flat[i]
+            text = (conversion % value).encode()
+            if len(text) > _TEXT_BYTES:
+                raise ValueError(f"{conversion} of {value!r} is too long for a CSV field")
+            out[np.unravel_index(i, part.shape)] = np.frombuffer(text.ljust(8 * _SLOT, b"\0"), np.uint64)
+
+
+def _fields(row_format: str):
+    """The conversions of a row format, comma-separated, and its line end."""
+    body = row_format.rstrip("\r\n")
+    conversions = body.split(",")
+    if not body or not set(conversions) <= _KERNELS.keys() or len(row_format) - len(body) > 3:
+        raise ValueError(f"row format {row_format!r} is not %.17g or %d fields joined by commas, "
+                         "then a line end of at most 3 characters")
+    return conversions, row_format[len(body):]
+
+
+def _ends(count: int, line_end: str):
+    """Word 3 bits of a row of count fields: commas, then the line end."""
+    ends = np.full(count, ord(","), np.uint64)
+    ends[-1] = int.from_bytes(line_end.encode(), "little")
+    return ends << 40
+
+
 def _write_rows(outs, row_format: str, columns, start: int, stop: int) -> None:
-    """Write rows start..stop-1 to each (file, cut) of outs.  One %-operation
-    formats a block of rows; a file with a cut gets cut(text) of that text."""
+    """Write rows start..stop-1 to each (file, cut) of outs: rows of
+    row_format where cut is None, else rows of the columns cut[0] ended by
+    cut[1].  Each block of rows is formatted once, into buffers reused for
+    every block, and each file gets its fields' non-NUL bytes."""
+    conversions, line_end = _fields(row_format)
+    runs = []  # (conversion, first column, end column) of each run of one conversion
+    for conversion, group in itertools.groupby(range(len(conversions)), key=conversions.__getitem__):
+        group = list(group)
+        runs.append((conversion, group[0], group[-1] + 1))
+    rows = min(_CSV_BLOCK, stop - start)
+    values = np.empty((rows, len(columns)))
+    words = np.empty((rows, len(columns), _SLOT), np.uint64)
+    # (file, picked columns or None, buffer, ends): cuts first, as they copy
+    # the fields before the main rows' ends go in
+    layouts = [(fh, list(cut[0]), np.empty((rows, len(cut[0]), _SLOT), np.uint64),
+                _ends(len(cut[0]), cut[1])) for fh, cut in outs if cut is not None]
+    layouts += [(fh, None, words, _ends(len(columns), line_end)) for fh, cut in outs if cut is None]
+    keep = np.empty(words.size * 8, bool)
     for begin in range(start, stop, _CSV_BLOCK):
-        end = min(begin + _CSV_BLOCK, stop)
-        values = np.column_stack([column[begin:end] for column in columns]).ravel().tolist()
-        text = (row_format * (end - begin)) % tuple(values)
-        for fh, cut in outs:
-            fh.write((cut(text) if cut else text).encode())
+        m = min(_CSV_BLOCK, stop - begin)
+        for j, column in enumerate(columns):
+            values[:m, j] = column[begin:begin + m]
+        for conversion, first, end in runs:
+            _format_run(conversion, values[:m, first:end], words[:m, first:end])
+        for fh, picked, buf, ends in layouts:
+            block = buf[:m]
+            if picked is not None:
+                np.take(words[:m], picked, axis=1, out=block)
+                block[:, :, 3] &= (1 << 40) - 1
+            block[:, :, 3] |= ends
+            text = block.reshape(-1).view(np.uint8)
+            np.not_equal(text, 0, out=keep[:text.size])
+            fh.write(text[keep[:text.size]])
 
 
 def write_csv(path, header: str, row_format: str, columns, cuts=()) -> None:
-    """Write header, then row_format (a conversion per column and the line
-    terminator) for each row, as bytes.  The rows are formatted from float64
-    values, so a %d column holds booleans or integers below 2**53.  Each
-    (path, header, cut) of cuts is one more file: its header, then cut(text)
-    of each block's text, so that file formats no value again.
+    """Write header, then row_format (%.17g or %d per column, joined by
+    commas, then the line end) for each row, as bytes.  The rows are
+    formatted from float64 values, so a %d column holds booleans or integers
+    below 2**53.  Each (path, header, indexes, line_end) of cuts is one more
+    file: its header, then rows of the columns at indexes ended by line_end,
+    laid out from the fields already formatted, so that file formats no value
+    again.  The text is Python's % text, byte for byte: a numpy kernel writes
+    each field, and leaves to % only values it cannot prove.  A %d value whose
+    text is longer than 29 characters raises ValueError.
 
     The rows are split into P contiguous parts, one per usable CPU but none
     under _PART_MIN_VALUES values; P is 1 where os.fork is missing.  Forked
@@ -354,7 +628,7 @@ def write_csv(path, header: str, row_format: str, columns, cuts=()) -> None:
     import shutil
     import tempfile
 
-    outputs = [(path, header, None), *cuts]
+    outputs = [(path, header, None), *((p, h, (indexes, end)) for p, h, indexes, end in cuts)]
     rows = len(columns[0])
     parts = 1
     if hasattr(os, "fork"):
@@ -401,19 +675,10 @@ def write_csv(path, header: str, row_format: str, columns, cuts=()) -> None:
             raise
 
 
-def _nominal_rows(text: str) -> str:
-    """nominal.csv's t,v rows (LF) cut from band.csv's t,lower,nominal,upper
-    rows (CRLF): fields 0 and 2 of each."""
-    fields = text.replace("\r\n", ",").split(",")
-    rows = len(fields) // 4
-    fields[1::4] = [","] * rows
-    fields[3::4] = ["\n"] * rows
-    return "".join(fields)
-
-
 def write_band_csv(band: ResponseBand, band_path, nominal_path) -> None:
     """Write band.csv (t,lower,nominal,upper) and nominal.csv (t,v) in one
-    pass, 17 significant digits: nominal.csv's rows are cut from band.csv's."""
+    pass, 17 significant digits: nominal.csv's rows reuse band.csv's t and
+    nominal fields."""
     write_csv(band_path, "t,lower,nominal,upper\r\n", "%.17g,%.17g,%.17g,%.17g\r\n",
               (band.t, band.lower, band.nominal, band.upper),
-              [(nominal_path, "t,v\n", _nominal_rows)])
+              [(nominal_path, "t,v\n", (0, 2), "\n")])

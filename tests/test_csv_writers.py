@@ -9,12 +9,14 @@ that write_csv formats in forked children.
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rlcband import (
     check_enclosure,
@@ -286,3 +288,84 @@ def test_parent_raise_kills_children(tmp_path, monkeypatch):
         write_csv(tmp_path / "x.csv", "x\n", "%.17g\n", (x,))
     assert time.perf_counter() - t0 < 30.0
     _assert_no_children()
+
+
+# --- the text kernel against Python's % on every kind of double ---
+
+def _kernel_bytes(row_format, *columns):
+    """The bytes write_csv's row writer gives for columns, in this process."""
+    buf = io.BytesIO()
+    circuit._write_rows([(buf, None)], row_format, columns, 0, len(columns[0]))
+    return buf.getvalue()
+
+
+def _percent_bytes(row_format, *columns):
+    return "".join(row_format % row for row in zip(*(c.tolist() for c in columns))).encode()
+
+
+def _assert_like_percent(row_format, *columns):
+    got, want = _kernel_bytes(row_format, *columns), _percent_bytes(row_format, *columns)
+    if got != want:
+        rows = zip(got.splitlines(), want.splitlines(), zip(*columns))
+        bad = next((g, w, v) for g, w, v in rows if g != w)
+        pytest.fail(f"kernel {bad[0]!r} != % {bad[1]!r} for {bad[2]!r}")
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+# Exact ties of %.17g whose power of ten is inexact: 18 significant digits
+# ending in 5, such as 3 * 2**-24 = 1.78813934326171875e-07.
+DYADIC_TIES = [p * 2.0**-q for q in (24, 25) for p in range(1, 16, 2)]
+
+# Doubles a few units of 2**-53 off a tie once scaled, such as
+# 4.910296614260184349999...98e-08: the residual must not be rounded as a tie.
+NEAR_TIES = [float.fromhex(h) for h in ("0x1.a5ca9080b933ep-25", "0x1.516eda0094298p-28",
+                                         "0x1.545bb680250a6p-28", "0x1.55d224bfed7adp-28",
+                                         "0x1.1174ea3324624p-31")]
+
+FIXED_CASES = {
+    "powers of ten": _with_neighbours([float(f"1e{k}") for k in range(-31, 32)]),
+    "true ties": np.array([1e15 + 0.25, 1e15 + 0.75, *DYADIC_TIES]),
+    "near ties": np.array(NEAR_TIES),
+    "2**53 and the fast range": _with_neighbours([2.0**53, 1e-30, 1e30]),
+    "extremes": np.array([5e-324, np.finfo(float).max, np.finfo(float).tiny, 0.0, -0.0,
+                          np.inf, -np.inf, np.nan]),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_CASES)
+def test_kernel_fixed_cases(name):
+    x = FIXED_CASES[name]
+    _assert_like_percent("%.17g,%.17g\r\n", x, -x)
+
+
+def test_kernel_seeded_wide_range():
+    rng = np.random.default_rng(26)
+    n = 50_000
+    x = np.concatenate([
+        np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-110, 110, n)),
+        rng.integers(1, 10**6, n) * 10.0 ** rng.integers(-36, 30, n),
+    ]) * rng.choice([-1.0, 1.0], 2 * n)
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    _assert_like_percent("%.17g\n", np.concatenate([x, bits]))
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=200))
+def test_kernel_matches_percent_on_floats(values):
+    x = np.array(values, dtype=np.float64)
+    _assert_like_percent("%.17g,%.17g\n", x, x[::-1])
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+def test_kernel_matches_percent_on_bit_patterns(bits):
+    _assert_like_percent("%.17g\n", np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@given(st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=200))
+def test_d_column_matches_percent(integers):
+    x = np.array(integers, dtype=np.float64)
+    flags = x > 0
+    _assert_like_percent("%.17g,%d,%d\n", x, x, flags)
