@@ -33,15 +33,23 @@ and whether the gain rule holds there: the change wins at least 9 in 10
 pairs (ties count for neither) and its median beats the parent's by more
 than the parent's interquartile range. The exit status is 1 on any worse
 verdict, or when the gain rule on --metric does not hold, else 0. Whether
-lower or higher is better comes from the change's BENCHMARK.json. Nothing
-under either checkout is changed.
+lower or higher is better comes from the change's BENCHMARK.json.
+
+Each perfbench run gets a fresh, empty bytecode cache of its own: the
+script unsets PYTHONDONTWRITEBYTECODE and points PYTHONPYCACHEPREFIX at a
+temporary directory, removed after the run. So perfbench's untimed first
+set-up probe compiles and caches the same modules on both sides, and
+setup_s compares cached imports, whatever __pycache__ either checkout
+holds. Nothing under either checkout is written or changed.
 """
 
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,11 +57,16 @@ import numpy as np
 
 
 def run_side(root, workload, seed, seconds, trace):
-    """One perfbench run in the checkout at root; its JSON report."""
+    """One perfbench run in the checkout at root, with a fresh bytecode
+    cache; its JSON report."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, timeout=30 * seconds + 600)
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    with tempfile.TemporaryDirectory() as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        done = subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, timeout=30 * seconds + 600)
     if done.returncode != 0:
         raise SystemExit(f"error: {root}: perfbench exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])

@@ -37,10 +37,13 @@ if any artefact differs, else 0. The artefacts:
   and wide intervals, ``ln`` near 0 and 1, ``acos`` near +-1, trig near
   multiples of pi, nominals of both signs and zero;
 * one SHA-1 of ``write_csv``'s bytes for a seeded 100 000-row table of three
-  ``%.17g`` columns: raw 64-bit patterns, and one value in ten a special one
-  (+-0, +-inf, NaN, subnormals, +-max, ties, and the powers of ten from
-  1e-31 to 1e31 and the edges of the text kernel's fast range, each with
-  both neighbours). On two CPUs it is written in two parts.
+  ``%.17g`` columns and a bool column: raw 64-bit patterns, one value in ten
+  a special one (+-0, +-inf, NaN, subnormals, +-max, ties, and the powers of
+  ten from 1e-31 to 1e31 and the edges of the text kernel's fast range, each
+  with both neighbours), then seeded flags written 0 or 1. On two CPUs it is
+  written in two parts. ``write_csv`` is called in the form the side has:
+  ``(columns, outputs)``, or the older ``(path, header, row_format,
+  columns)`` with ``%d`` for the flags.
 
 NaN results count as one value, and an operation that raises counts as its
 exception's name. The hashing code is this script's, on both sides: the
@@ -141,15 +144,22 @@ def _special_values():
 def kernel_edges_digest():
     """{"write_csv kernel edges": SHA-1} of write_csv's bytes, in this
     process's rlcband, for a seeded EDGE_ROWS-row table of three %.17g
-    columns: raw 64-bit patterns, one value in ten replaced by a special one."""
+    columns, raw 64-bit patterns with one value in ten replaced by a special
+    one, and a column of seeded flags."""
+    import inspect
+
     from rlcband.circuit import write_csv
 
     rng = np.random.default_rng(SWEEP_SEED)
     columns = rng.integers(0, 2**64, (3, EDGE_ROWS), dtype=np.uint64).view(np.float64)
     special = _special_values()
     columns.flat[rng.integers(0, columns.size, columns.size // 10)] = rng.choice(special, columns.size // 10)
+    flags = rng.integers(0, 2, EDGE_ROWS).astype(bool)
     path = Path("kernel_edges.csv")
-    write_csv(path, "a,b,c\n", "%.17g,%.17g,%.17g\n", tuple(columns))
+    if "outputs" in inspect.signature(write_csv).parameters:
+        write_csv((*columns, flags), [(path, "a,b,c,flag\n", range(4), "\n")])
+    else:  # the form before the outputs list
+        write_csv(path, "a,b,c,flag\n", "%.17g,%.17g,%.17g,%d\n", (*columns, flags))
     digest = hashlib.sha1(path.read_bytes()).hexdigest()
     path.unlink()
     return {"write_csv kernel edges": digest}

@@ -15,7 +15,6 @@ response the component box can produce.  The band is evaluated on float64
 arrays of endpoint rows, one block of grid points at a time.
 """
 
-import itertools
 import json
 import math
 import sys
@@ -108,6 +107,8 @@ def load_circuit_spec(path) -> CircuitSpec:
         # large for a float, which float() would fail on
         if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"config {path}: {key} must be finite, got {value}")
+        if key.endswith("_pct") and not 0.0 <= value < 100.0:
+            raise ConfigError(f"config {path}: {key} must be a percentage in [0, 100), got {value}")
         kwargs[field] = value / 100.0 if key.endswith("_pct") else float(value)
     try:
         return CircuitSpec(**kwargs)
@@ -304,7 +305,10 @@ def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:
     return ResponseBand(t=grid, lower=lower, nominal=nominal, upper=upper)
 
 
-# Rows per formatting operation: bounds the buffers of a long table.
+# Rows per formatting operation: bounds the buffers of a long table.  Each
+# column of a block is one kernel call.  Twice as many values per call cost
+# about twice as much per value: the temporaries then pass the C allocator's
+# 128 KB mmap threshold, and each is mapped and faulted in afresh.
 _CSV_BLOCK = 4096
 # Fewest values (rows times columns) in a part of write_csv.  Set when %
 # cost about 0.33 us per value.  Re-measured with the text kernel (2-core VM,
@@ -326,18 +330,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# --- exact %.17g and %d text of float64 blocks, many values per numpy call ---
+# --- exact %.17g text of float64 blocks, many values per numpy call ---
 #
 # A field's text is laid out in four little-endian uint64 words (32 bytes),
 # whose NUL bytes are dropped when a block is written.  In a %.17g field,
 # word 0 ends with the first digit (byte 7), led by the sign and, for a
 # fixed-form number below 1, by "0." and zeros; words 1-3 hold the other
-# digits, the decimal point and the exponent "e+XX", then NULs.  A %d field
-# ends its digits at byte 23, led by NULs and the sign.  Bytes 5-7 of word 3
-# hold the separator or line end after the field.  So each field's text is
-# one run of bytes.
+# digits, the decimal point and the exponent "e+XX", then NULs: at most 24
+# bytes in all.  A bool field is its digit 0 or 1 at byte 7 of word 0.
+# Bytes 5-7 of word 3 hold the separator or line end after the field.  So
+# each field's text is one run of bytes.
 _SLOT = 4
-_TEXT_BYTES = 29  # the longest text a field holds, before its separator
 
 
 def _ten_powers(exponents):
@@ -387,36 +390,12 @@ def _group_words(n):
     return text[0] | (text[1] << 32), text[2] | (text[3] << 32), g
 
 
-def _layouts(ends, point, sign_at, prefix, exponents=()):
-    """Byte masks and constant bytes of each field layout, as words: keep
-    (bytes kept from the digit words), shifted (bytes taken one place later,
-    after the point) and marks (sign, "0.000" prefix, point and exponent).
-    ends[i] is the end of layout i's digits and point in bytes from word 1,
-    point[i] its point's byte or -1, sign_at[i] its sign's byte or -1 and
-    prefix[i] the length of its "0.000" prefix, which ends at byte 6.  The
-    (i, e) of exponents put "e+XX" for e right after layout i's digits."""
-    rel = np.arange(8 * _SLOT) - 8
-    has_point = point[:, None] >= 0
-    keep = (rel >= 0) & (rel < np.where(has_point, point[:, None], ends[:, None]))
-    shifted = has_point & (rel > point[:, None]) & (rel < ends[:, None])
-    marks = np.zeros((len(ends), 8 * _SLOT), np.uint8)
-    marks[has_point[:, 0], 8 + point[has_point[:, 0]]] = ord(".")
-    for length in range(2, 6):
-        marks[prefix == length, 7 - length:7] = np.frombuffer(b"0.000"[:length], np.uint8)
-    signed = sign_at >= 0
-    marks[signed, sign_at[signed]] = ord("-")
-    if len(exponents):
-        rows, e = exponents
-        for i, char in enumerate((ord("e"), np.where(e < 0, ord("-"), ord("+")),
-                                  abs(e) // 10 + 0x30, abs(e) % 10 + 0x30)):
-            marks[rows, 8 + ends[rows] + i] = char
-    return (_bytes_to_words(keep * np.uint8(0xFF)), _bytes_to_words(shifted * np.uint8(0xFF)),
-            _bytes_to_words(marks))
-
-
 def _g17_layouts():
     """Layouts of %.17g text for each key ((e - _E_MIN) * 17 + nd - 1) * 2 + neg:
-    decimal exponent e, significant digits nd and sign."""
+    decimal exponent e, significant digits nd and sign.  Each is three words
+    of byte masks and constant bytes: keep (bytes kept from the digit words),
+    shifted (bytes taken one place later, after the point) and marks (sign,
+    "0.000" prefix, point and exponent)."""
     key = np.arange((_E_MAX - _E_MIN + 1) * 17 * 2)
     e, nd, neg = key // 34 + _E_MIN, key // 2 % 17 + 1, key % 2
     # %g: fixed form for -4 <= e < 17, where a whole number keeps its zeros;
@@ -424,36 +403,39 @@ def _g17_layouts():
     fixed = (e >= -4) & (e < 17)
     shown = np.where(fixed & (e >= 0), np.maximum(nd, e + 1), nd)
     point = np.where(fixed, e, 0)
-    point = np.where((point < nd - 1) & ~(fixed & (e < 0)), point, -1)
+    point = np.where((point < nd - 1) & ~(fixed & (e < 0)), point, -1)[:, None]
+    # the "0.000" prefix of a fixed number below 1 ends at byte 6, led by the sign
     prefix = np.where(fixed & (e < 0), 1 - e, 0)
-    return _layouts(shown - 1 + (point >= 0), point, np.where(neg == 1, 6 - prefix, -1), prefix,
-                    (np.flatnonzero(~fixed), e[~fixed]))
+    # the end of the digits and point, in bytes from word 1
+    ends = (shown - 1 + (point[:, 0] >= 0))[:, None]
+    rel = np.arange(8 * _SLOT) - 8
+    keep = (rel >= 0) & (rel < np.where(point >= 0, point, ends))
+    shifted = (point >= 0) & (rel > point) & (rel < ends)
+    marks = np.zeros((key.size, 8 * _SLOT), np.uint8)
+    marks[point[:, 0] >= 0, 8 + point[point >= 0]] = ord(".")
+    for length in range(2, 6):
+        marks[prefix == length, 7 - length:7] = np.frombuffer(b"0.000"[:length], np.uint8)
+    marks[neg == 1, (6 - prefix)[neg == 1]] = ord("-")
+    rows = np.flatnonzero(~fixed)
+    for i, char in enumerate((ord("e"), np.where(e[rows] < 0, ord("-"), ord("+")),
+                              abs(e[rows]) // 10 + 0x30, abs(e[rows]) % 10 + 0x30)):
+        marks[rows, 8 + ends[rows, 0] + i] = char
+    return (_bytes_to_words(keep * np.uint8(0xFF)), _bytes_to_words(shifted * np.uint8(0xFF)),
+            _bytes_to_words(marks))
 
 
-def _d_layouts():
-    """Layouts of %d text for each key digits * 2 + neg, digits 1..16."""
-    key = np.arange(17 * 2)
-    digits, neg = key // 2, key % 2
-    keep, _, marks = _layouts(np.full(digits.size, 16), np.full(digits.size, -1),
-                              np.where(neg == 1, 23 - digits, -1), np.zeros(digits.size, np.int64))
-    shown = np.arange(8 * _SLOT) >= 24 - digits[:, None]
-    return _bytes_to_words(keep.view(np.uint8) * shown), marks
-
-
-# The kernels' lookup tables.  For each 4-digit group: its ASCII in bytes 0-3
+# The kernel's lookup tables.  For each 4-digit group: its ASCII in bytes 0-3
 # of a word, and for each w the place after its last nonzero digit, counted
 # from the first digit of a 16-digit number whose group w it is (0 where the
-# group is 0).  Then the %.17g and %d layouts by key.  They are built at
-# import, in about 2 ms: built on first use, they would land in the middle of
-# a large write and pin the top of the C heap, which then cannot shrink (it
-# raised scope_ingest's peak RSS from 54.6 to 61.3 MB).
+# group is 0).  Then the %.17g layouts by key.  They are built at import, in
+# about 2 ms: built on first use, they would land in the middle of a large
+# write and pin the top of the C heap, which then cannot shrink (it raised
+# scope_ingest's peak RSS from 54.6 to 61.3 MB).
 _GROUP = np.arange(10**4)
 _GROUP_TEXT = sum((_GROUP // 10**(3 - i) % 10 + 0x30) << (8 * i) for i in range(4)).astype(np.uint64)
 _GROUP_SHOWN = np.where(_GROUP > 0, 4 - (_GROUP % 10 == 0) - (_GROUP % 100 == 0) - (_GROUP % 1000 == 0), -16)
 _GROUP_END = [np.maximum(_GROUP_SHOWN + 4 * w, 0) for w in range(4)]
 _G17_LAYOUTS = _g17_layouts()
-_D_LAYOUTS = _d_layouts()
-_INT_DIGITS = 10 ** np.arange(16)  # a %d value's digits: how many of these it reaches
 
 
 def _scaled(a, e):
@@ -465,9 +447,9 @@ def _scaled(a, e):
 
 
 def _g17_words(x, out):
-    """Write the %.17g text of each float64 of x to out (x.shape + (_SLOT,)
-    uint64 words); return the indexes (into x.ravel()) of the values left to
-    Python's %.
+    """Write the %.17g text of each float64 of x (one dimension) to out
+    (x.shape + (_SLOT,) uint64 words); return the indexes of the values left
+    to Python's %.
 
     Each value a = |x| gets its 17-digit integer d and decimal exponent e: a
     is scaled by a double-double 10**(16 - e) through two_product, and d is
@@ -475,7 +457,6 @@ def _g17_words(x, out):
     values, |x| outside [1e-30, 1e30), and values whose residual lies within
     _GUARD of a rounding tie or of a power of ten that decides e.
     """
-    shape, x = x.shape, x.ravel()
     a = np.abs(x)
     fast = (a >= 1e-30) & (a < 1e30)
     a[~fast] = 1.0
@@ -504,114 +485,60 @@ def _g17_words(x, out):
     nd = 1 + np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3]))
     key = ((e - _E_MIN) * 17 + nd - 1) * 2 + (x < 0.0)
     keep, shifted, marks = (np.take(t, key, axis=0) for t in _G17_LAYOUTS)
-    out[..., 0] = (marks[:, 0] | _FIRST_DIGIT[first]).reshape(shape)
-    out[..., 1] = ((high & keep[:, 1]) | ((high << 8) & shifted[:, 1]) | marks[:, 1]).reshape(shape)
-    out[..., 2] = ((low & keep[:, 2]) | (((low << 8) | (high >> 56)) & shifted[:, 2])
-                   | marks[:, 2]).reshape(shape)
-    out[..., 3] = (((low >> 56) & shifted[:, 3]) | marks[:, 3]).reshape(shape)
+    out[:, 0] = marks[:, 0] | _FIRST_DIGIT[first]
+    out[:, 1] = (high & keep[:, 1]) | ((high << 8) & shifted[:, 1]) | marks[:, 1]
+    out[:, 2] = (low & keep[:, 2]) | (((low << 8) | (high >> 56)) & shifted[:, 2]) | marks[:, 2]
+    out[:, 3] = ((low >> 56) & shifted[:, 3]) | marks[:, 3]
     return np.flatnonzero(~fast)
 
 
-def _d_words(x, out):
-    """Write the %d text of each float64 of x to out, as _g17_words does;
-    return the indexes of values not below 2**53 in magnitude, or NaN."""
-    shape, x = x.shape, x.ravel()
-    fast = abs(x) < 2.0**53
-    n = np.trunc(np.where(fast, x, 0.0))
-    key = np.searchsorted(_INT_DIGITS, abs(n), side="right").clip(1) * 2 + (n < 0.0)
-    high, low, _ = _group_words(abs(n).astype(np.int64))
-    keep, marks = (np.take(t, key, axis=0) for t in _D_LAYOUTS)
-    out[..., 0] = marks[:, 0].reshape(shape)
-    out[..., 1] = ((high & keep[:, 1]) | marks[:, 1]).reshape(shape)
-    out[..., 2] = ((low & keep[:, 2]) | marks[:, 2]).reshape(shape)
-    out[..., 3] = 0
-    return np.flatnonzero(~fast)
+def _format(x, out) -> None:
+    """Write the text of each value of the float64 or bool column x to out:
+    %.17g, Python's % text where the kernel leaves a value, or 0 or 1."""
+    if x.dtype == bool:
+        out[:, 0] = (x.astype(np.uint64) + 0x30) << 56
+        out[:, 1:] = 0
+        return
+    for i in _g17_words(x, out):
+        out[i] = np.frombuffer(("%.17g" % x[i]).encode().ljust(8 * _SLOT, b"\0"), np.uint64)
 
 
-_KERNELS = {"%.17g": _g17_words, "%d": _d_words}
-# Values per kernel call.  Twice as many cost about twice as much per value:
-# the temporaries then pass the C allocator's 128 KB mmap threshold, and each
-# is mapped and faulted in afresh.
-_KERNEL_VALUES = 4096
-
-
-def _format_run(conversion: str, x, slots) -> None:
-    """Write the conversion's text of each value of x (rows by columns) to
-    slots, Python's % text where the kernel leaves a value."""
-    step = max(1, _KERNEL_VALUES // x.shape[1])
-    for start in range(0, len(x), step):
-        part, out = x[start:start + step], slots[start:start + step]
-        for i in _KERNELS[conversion](part, out):
-            value = part.flat[i]
-            text = (conversion % value).encode()
-            if len(text) > _TEXT_BYTES:
-                raise ValueError(f"{conversion} of {value!r} is too long for a CSV field")
-            out[np.unravel_index(i, part.shape)] = np.frombuffer(text.ljust(8 * _SLOT, b"\0"), np.uint64)
-
-
-def _fields(row_format: str):
-    """The conversions of a row format, comma-separated, and its line end."""
-    body = row_format.rstrip("\r\n")
-    conversions = body.split(",")
-    if not body or not set(conversions) <= _KERNELS.keys() or len(row_format) - len(body) > 3:
-        raise ValueError(f"row format {row_format!r} is not %.17g or %d fields joined by commas, "
-                         "then a line end of at most 3 characters")
-    return conversions, row_format[len(body):]
-
-
-def _ends(count: int, line_end: str):
-    """Word 3 bits of a row of count fields: commas, then the line end."""
-    ends = np.full(count, ord(","), np.uint64)
-    ends[-1] = int.from_bytes(line_end.encode(), "little")
-    return ends << 40
-
-
-def _write_rows(outs, row_format: str, columns, start: int, stop: int) -> None:
-    """Write rows start..stop-1 to each (file, cut) of outs: rows of
-    row_format where cut is None, else rows of the columns cut[0] ended by
-    cut[1].  Each block of rows is formatted once, into buffers reused for
-    every block, and each file gets its fields' non-NUL bytes."""
-    conversions, line_end = _fields(row_format)
-    runs = []  # (conversion, first column, end column) of each run of one conversion
-    for conversion, group in itertools.groupby(range(len(conversions)), key=conversions.__getitem__):
-        group = list(group)
-        runs.append((conversion, group[0], group[-1] + 1))
+def _write_rows(outs, columns, start: int, stop: int) -> None:
+    """Write rows start..stop-1 to each (file, column indexes, line end) of
+    outs: the fields of those columns, joined by commas, then the line end.
+    Each block of rows is formatted once, one kernel call per column, into
+    buffers reused for every block; each file gets the non-NUL bytes of its
+    columns' fields, copied to rows."""
     rows = min(_CSV_BLOCK, stop - start)
-    values = np.empty((rows, len(columns)))
-    words = np.empty((rows, len(columns), _SLOT), np.uint64)
-    # (file, picked columns or None, buffer, ends): cuts first, as they copy
-    # the fields before the main rows' ends go in
-    layouts = [(fh, list(cut[0]), np.empty((rows, len(cut[0]), _SLOT), np.uint64),
-                _ends(len(cut[0]), cut[1])) for fh, cut in outs if cut is not None]
-    layouts += [(fh, None, words, _ends(len(columns), line_end)) for fh, cut in outs if cut is None]
-    keep = np.empty(words.size * 8, bool)
+    words = np.empty((len(columns), rows, _SLOT), np.uint64)
+    layouts = []  # (file, indexes, row-major buffer, word 3 bits of each field's end)
+    for fh, indexes, line_end in outs:
+        ends = np.full(len(indexes), ord(","), np.uint64)
+        ends[-1] = int.from_bytes(line_end.encode(), "little")
+        layouts.append((fh, list(indexes), np.empty((rows, len(indexes), _SLOT), np.uint64),
+                        ends << 40))
+    keep = np.empty(max(buf.size for _, _, buf, _ in layouts) * 8, bool)
     for begin in range(start, stop, _CSV_BLOCK):
         m = min(_CSV_BLOCK, stop - begin)
-        for j, column in enumerate(columns):
-            values[:m, j] = column[begin:begin + m]
-        for conversion, first, end in runs:
-            _format_run(conversion, values[:m, first:end], words[:m, first:end])
-        for fh, picked, buf, ends in layouts:
+        for column, out in zip(columns, words):
+            _format(column[begin:begin + m], out[:m])
+        for fh, indexes, buf, ends in layouts:
             block = buf[:m]
-            if picked is not None:
-                np.take(words[:m], picked, axis=1, out=block)
-                block[:, :, 3] &= (1 << 40) - 1
+            np.copyto(block, words[indexes, :m].transpose(1, 0, 2))
             block[:, :, 3] |= ends
             text = block.reshape(-1).view(np.uint8)
             np.not_equal(text, 0, out=keep[:text.size])
             fh.write(text[keep[:text.size]])
 
 
-def write_csv(path, header: str, row_format: str, columns, cuts=()) -> None:
-    """Write header, then row_format (%.17g or %d per column, joined by
-    commas, then the line end) for each row, as bytes.  The rows are
-    formatted from float64 values, so a %d column holds booleans or integers
-    below 2**53.  Each (path, header, indexes, line_end) of cuts is one more
-    file: its header, then rows of the columns at indexes ended by line_end,
-    laid out from the fields already formatted, so that file formats no value
-    again.  The text is Python's % text, byte for byte: a numpy kernel writes
-    each field, and leaves to % only values it cannot prove.  A %d value whose
-    text is longer than 29 characters raises ValueError.
+def write_csv(columns, outputs) -> None:
+    """Write CSV files from columns of equal length, each float64 or bool.
+    Each (path, header, indexes, line_end) of outputs is one file: its
+    header, then for each row the fields of the columns at indexes, joined
+    by commas and ended by line_end (at most 3 bytes).  A float64 field is
+    Python's %.17g text, byte for byte: a numpy kernel writes each field, and
+    leaves to % only values it cannot prove.  A bool field is 0 or 1, as %d
+    gives.  Each value is formatted once, whichever outputs show it.
 
     The rows are split into P contiguous parts, one per usable CPU but none
     under _PART_MIN_VALUES values; P is 1 where os.fork is missing.  Forked
@@ -628,7 +555,6 @@ def write_csv(path, header: str, row_format: str, columns, cuts=()) -> None:
     import shutil
     import tempfile
 
-    outputs = [(path, header, None), *((p, h, (indexes, end)) for p, h, indexes, end in cuts)]
     rows = len(columns[0])
     parts = 1
     if hasattr(os, "fork"):
@@ -636,12 +562,12 @@ def write_csv(path, header: str, row_format: str, columns, cuts=()) -> None:
     ends = [rows * k // parts for k in range(parts + 1)]
     with contextlib.ExitStack() as files:
         outs = []
-        for out_path, out_header, cut in outputs:
-            fh = files.enter_context(open(out_path, "wb"))
-            fh.write(out_header.encode())
-            outs.append((fh, cut))
-        temps = [[(files.enter_context(tempfile.TemporaryFile()), cut) for _, _, cut in outputs]
-                 for _ in range(parts - 1)]
+        for path, header, indexes, line_end in outputs:
+            fh = files.enter_context(open(path, "wb"))
+            fh.write(header.encode())
+            outs.append((fh, indexes, line_end))
+        temps = [[(files.enter_context(tempfile.TemporaryFile()), indexes, line_end)
+                  for _, indexes, line_end in outs] for _ in range(parts - 1)]
         children = []
         try:
             for k, part in enumerate(temps, 1):
@@ -649,21 +575,21 @@ def write_csv(path, header: str, row_format: str, columns, cuts=()) -> None:
                 if pid == 0:
                     status = 1
                     try:
-                        _write_rows(part, row_format, columns, ends[k], ends[k + 1])
-                        for tmp, _ in part:
+                        _write_rows(part, columns, ends[k], ends[k + 1])
+                        for tmp, _, _ in part:
                             tmp.flush()
                         status = 0
                     finally:
                         os._exit(status)
                 children.append(pid)
-            _write_rows(outs, row_format, columns, 0, ends[1])
+            _write_rows(outs, columns, 0, ends[1])
             for k, part in enumerate(temps, 1):
                 _, status = os.waitpid(children[0], 0)
                 del children[0]
                 if status != 0:
-                    raise OSError(f"writing rows {ends[k]}..{ends[k + 1] - 1} of {path}: "
+                    raise OSError(f"writing rows {ends[k]}..{ends[k + 1] - 1} of {outputs[0][0]}: "
                                   f"child exited with status {os.waitstatus_to_exitcode(status)}")
-                for (tmp, _), (fh, _) in zip(part, outs):
+                for (tmp, _, _), (fh, _, _) in zip(part, outs):
                     tmp.seek(0)
                     shutil.copyfileobj(tmp, fh)
         except BaseException:
@@ -679,6 +605,6 @@ def write_band_csv(band: ResponseBand, band_path, nominal_path) -> None:
     """Write band.csv (t,lower,nominal,upper) and nominal.csv (t,v) in one
     pass, 17 significant digits: nominal.csv's rows reuse band.csv's t and
     nominal fields."""
-    write_csv(band_path, "t,lower,nominal,upper\r\n", "%.17g,%.17g,%.17g,%.17g\r\n",
-              (band.t, band.lower, band.nominal, band.upper),
-              [(nominal_path, "t,v\n", (0, 2), "\n")])
+    write_csv((band.t, band.lower, band.nominal, band.upper),
+              [(band_path, "t,lower,nominal,upper\r\n", (0, 1, 2, 3), "\r\n"),
+               (nominal_path, "t,v\n", (0, 2), "\n")])

@@ -270,5 +270,5 @@ def check_enclosure(trace: Trace, band: ResponseBand) -> EnclosureReport:
 
 def write_verdicts_csv(report: EnclosureReport, path) -> None:
     """Write per-sample verdicts as CSV: t,v,lower,upper,inside."""
-    write_csv(path, "t,v,lower,upper,inside\r\n", "%.17g,%.17g,%.17g,%.17g,%d\r\n",
-              (report.times, report.values, report.lower, report.upper, report.verdicts))
+    write_csv((report.times, report.values, report.lower, report.upper, report.verdicts),
+              [(path, "t,v,lower,upper,inside\r\n", range(5), "\r\n")])

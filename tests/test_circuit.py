@@ -66,7 +66,10 @@ def test_config_roundtrip(tmp_path, demo_spec):
 @pytest.mark.parametrize("mutate,match", [
     pytest.param(lambda d: d.update(bogus=1.0), "unknown keys", id="unknown"),
     pytest.param(lambda d: d.update(r_ohms="many"), "r_ohms must be a number", id="not-number"),
-    pytest.param(lambda d: d.update(c_tol_pct=100), "c_tol must be a fraction", id="tol-100"),
+    pytest.param(lambda d: d.update(r_tol_pct=100), re.escape("r_tol_pct must be a percentage in [0, 100)"),
+                 id="tol-100"),
+    pytest.param(lambda d: d.update(c_tol_pct=-5), re.escape("c_tol_pct must be a percentage in [0, 100)"),
+                 id="tol-negative"),
     *[pytest.param(lambda d, key=key: d.pop(key), re.escape(f"missing keys ['{key}']"),
                    id=f"no-{key}") for key in DEMO_CONFIG],
 ])

@@ -139,10 +139,15 @@ def test_write_csv_special_values(tmp_path, monkeypatch, fork_count, rows):
     special = [0.0, -0.0, 5e-324, -1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1]
     x = np.resize(np.array(special), rows)
     flags = np.arange(rows) % 3 == 0
-    path = tmp_path / "x.csv"
-    write_csv(path, "x,flag\n", "%.17g,%d\n", (x, flags))
-    expected = "x,flag\n" + "".join(f"{a:.17g},{int(b)}\n" for a, b in zip(x, flags))
+    path, flipped = tmp_path / "x.csv", tmp_path / "flipped.csv"
+    # the second output shows the columns the other way round, one set of parts for both
+    write_csv((x, flags), [(path, "x,flag\n", (0, 1), "\n"),
+                           (flipped, "flag,x\r\n", (1, 0), "\r\n")])
+    pairs = list(zip(x.tolist(), flags.tolist()))
+    expected = "x,flag\n" + "".join("%.17g,%d\n" % (a, b) for a, b in pairs)
     assert path.read_bytes() == expected.encode()
+    expected = "flag,x\r\n" + "".join("%d,%.17g\r\n" % (b, a) for a, b in pairs)
+    assert flipped.read_bytes() == expected.encode()
     assert fork_count["forks"] == _forks(rows, 2, 4)
     _assert_no_children()
 
@@ -225,7 +230,7 @@ def test_one_part_does_not_fork(tmp_path, monkeypatch, cpus, rows):
     monkeypatch.setattr(circuit, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", _no_fork)
     x = np.arange(rows) / 7.0
-    write_csv(tmp_path / "x.csv", "x\n", "%.17g\n", (x,))
+    write_csv((x,), [(tmp_path / "x.csv", "x\n", (0,), "\n")])
     assert (tmp_path / "x.csv").read_text() == "x\n" + "".join(f"{a:.17g}\n" for a in x)
 
 
@@ -233,7 +238,7 @@ def test_without_fork_writes_one_part(tmp_path, monkeypatch):
     monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
     monkeypatch.delattr(os, "fork")
     x = np.arange(4 * _PART_MIN_VALUES) / 7.0
-    write_csv(tmp_path / "x.csv", "x\n", "%.17g\n", (x,))
+    write_csv((x,), [(tmp_path / "x.csv", "x\n", (0,), "\n")])
     assert (tmp_path / "x.csv").read_text() == "x\n" + "".join(f"{a:.17g}\n" for a in x)
 
 
@@ -241,10 +246,10 @@ def _failing_in_parts(monkeypatch, fail_start):
     """write_csv in 4 parts whose row writer raises for parts at fail_start."""
     write_rows = circuit._write_rows
 
-    def failing(outs, row_format, columns, start, stop):
+    def failing(outs, columns, start, stop):
         if fail_start(start):
             raise OSError("part failed")
-        write_rows(outs, row_format, columns, start, stop)
+        write_rows(outs, columns, start, stop)
 
     monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(circuit, "_write_rows", failing)
@@ -254,7 +259,7 @@ def test_failing_child_raises_oserror(tmp_path, monkeypatch):
     _failing_in_parts(monkeypatch, lambda start: start > 0)
     x = np.arange(4 * _PART_MIN_VALUES) / 7.0
     with pytest.raises(OSError, match="child exited with status 1"):
-        write_csv(tmp_path / "x.csv", "x\n", "%.17g\n", (x,))
+        write_csv((x,), [(tmp_path / "x.csv", "x\n", (0,), "\n")])
     _assert_no_children()
     assert os.listdir(tmp_path) == ["x.csv"]
 
@@ -274,10 +279,10 @@ def test_failing_child_exits_cli_with_one_line(tmp_path, monkeypatch, capsys):
 def test_parent_raise_kills_children(tmp_path, monkeypatch):
     write_rows = circuit._write_rows
 
-    def slow_children(outs, row_format, columns, start, stop):
+    def slow_children(outs, columns, start, stop):
         if start > 0:
             time.sleep(60.0)  # in a child: only a kill ends it early
-        write_rows(outs, row_format, columns, start, stop)
+        write_rows(outs, columns, start, stop)
         raise KeyboardInterrupt  # in the parent, after its own part: not an Exception
 
     monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
@@ -285,26 +290,28 @@ def test_parent_raise_kills_children(tmp_path, monkeypatch):
     x = np.arange(4 * _PART_MIN_VALUES) / 7.0
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        write_csv(tmp_path / "x.csv", "x\n", "%.17g\n", (x,))
+        write_csv((x,), [(tmp_path / "x.csv", "x\n", (0,), "\n")])
     assert time.perf_counter() - t0 < 30.0
     _assert_no_children()
 
 
 # --- the text kernel against Python's % on every kind of double ---
 
-def _kernel_bytes(row_format, *columns):
+def _kernel_bytes(line_end, *columns):
     """The bytes write_csv's row writer gives for columns, in this process."""
     buf = io.BytesIO()
-    circuit._write_rows([(buf, None)], row_format, columns, 0, len(columns[0]))
+    circuit._write_rows([(buf, range(len(columns)), line_end)], columns, 0, len(columns[0]))
     return buf.getvalue()
 
 
-def _percent_bytes(row_format, *columns):
+def _percent_bytes(line_end, *columns):
+    """Rows of %.17g for each float column and %d for each bool column."""
+    row_format = ",".join("%d" if c.dtype == bool else "%.17g" for c in columns) + line_end
     return "".join(row_format % row for row in zip(*(c.tolist() for c in columns))).encode()
 
 
-def _assert_like_percent(row_format, *columns):
-    got, want = _kernel_bytes(row_format, *columns), _percent_bytes(row_format, *columns)
+def _assert_like_percent(line_end, *columns):
+    got, want = _kernel_bytes(line_end, *columns), _percent_bytes(line_end, *columns)
     if got != want:
         rows = zip(got.splitlines(), want.splitlines(), zip(*columns))
         bad = next((g, w, v) for g, w, v in rows if g != w)
@@ -339,7 +346,7 @@ FIXED_CASES = {
 @pytest.mark.parametrize("name", FIXED_CASES)
 def test_kernel_fixed_cases(name):
     x = FIXED_CASES[name]
-    _assert_like_percent("%.17g,%.17g\r\n", x, -x)
+    _assert_like_percent("\r\n", x, -x)
 
 
 def test_kernel_seeded_wide_range():
@@ -350,22 +357,22 @@ def test_kernel_seeded_wide_range():
         rng.integers(1, 10**6, n) * 10.0 ** rng.integers(-36, 30, n),
     ]) * rng.choice([-1.0, 1.0], 2 * n)
     bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
-    _assert_like_percent("%.17g\n", np.concatenate([x, bits]))
+    _assert_like_percent("\n", np.concatenate([x, bits]))
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=200))
 def test_kernel_matches_percent_on_floats(values):
     x = np.array(values, dtype=np.float64)
-    _assert_like_percent("%.17g,%.17g\n", x, x[::-1])
+    _assert_like_percent("\n", x, x[::-1])
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
 def test_kernel_matches_percent_on_bit_patterns(bits):
-    _assert_like_percent("%.17g\n", np.array(bits, dtype=np.uint64).view(np.float64))
+    _assert_like_percent("\n", np.array(bits, dtype=np.uint64).view(np.float64))
 
 
-@given(st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=200))
-def test_d_column_matches_percent(integers):
-    x = np.array(integers, dtype=np.float64)
-    flags = x > 0
-    _assert_like_percent("%.17g,%d,%d\n", x, x, flags)
+@given(st.lists(st.tuples(st.floats(), st.booleans()), min_size=1, max_size=200))
+def test_bool_column_matches_percent(rows):
+    x = np.array([v for v, _ in rows], dtype=np.float64)
+    flags = np.array([flag for _, flag in rows], dtype=bool)
+    _assert_like_percent("\r\n", x, flags)
