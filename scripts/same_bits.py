@@ -11,9 +11,11 @@ write goes to a temporary directory, which is removed afterwards. The
 script prints one line per artefact, ``equal`` or ``different``, and exits 1
 if any artefact differs, else 0. The artefacts:
 
-* ``simulate`` on the demo circuit at 2 000, 12 289 and 20 000 grid
+* ``simulate`` on the demo circuit at 2 000, 5 000, 12 289 and 20 000 grid
   points: ``band.csv`` and ``nominal.csv``. On two CPUs the 12 289 rows
-  are two parts split at row 6 144, off a 4 096-row block seam;
+  are two parts split at row 6 144, off a 4 096-row block seam, and the
+  5 000 rows are one part, where the former split rule (a part per 6 144
+  values) made two;
 * ``check`` of the bundled trace at both grids: ``verdicts.csv``, and the
   exit code with stdout;
 * ``check`` of a deep capture at the default grid: ``verdicts.csv`` (99 201
@@ -41,9 +43,7 @@ if any artefact differs, else 0. The artefacts:
   a special one (+-0, +-inf, NaN, subnormals, +-max, ties, and the powers of
   ten from 1e-31 to 1e31 and the edges of the text kernel's fast range, each
   with both neighbours), then seeded flags written 0 or 1. On two CPUs it is
-  written in two parts. ``write_csv`` is called in the form the side has:
-  ``(columns, outputs)``, or the older ``(path, header, row_format,
-  columns)`` with ``%d`` for the flags.
+  written in two parts.
 
 NaN results count as one value, and an operation that raises counts as its
 exception's name. The hashing code is this script's, on both sides: the
@@ -63,8 +63,9 @@ from pathlib import Path
 import numpy as np
 
 GRIDS = (2000, 20000)
-# simulate only: two parts on two CPUs, split at row 6 144, mid-block
-PARTS_GRID = 12289
+# simulate only, on two CPUs: 5 000 rows in one part, where the former split
+# rule made two, and 12 289 rows in two parts split at row 6 144, mid-block
+SIMULATE_GRIDS = (5000, 12289)
 # write_csv's text kernel: rows of the edge table, two parts on two CPUs
 EDGE_ROWS = 100_000
 SWEEP_CIRCUITS = 128
@@ -146,8 +147,6 @@ def kernel_edges_digest():
     process's rlcband, for a seeded EDGE_ROWS-row table of three %.17g
     columns, raw 64-bit patterns with one value in ten replaced by a special
     one, and a column of seeded flags."""
-    import inspect
-
     from rlcband.circuit import write_csv
 
     rng = np.random.default_rng(SWEEP_SEED)
@@ -156,10 +155,7 @@ def kernel_edges_digest():
     columns.flat[rng.integers(0, columns.size, columns.size // 10)] = rng.choice(special, columns.size // 10)
     flags = rng.integers(0, 2, EDGE_ROWS).astype(bool)
     path = Path("kernel_edges.csv")
-    if "outputs" in inspect.signature(write_csv).parameters:
-        write_csv((*columns, flags), [(path, "a,b,c,flag\n", range(4), "\n")])
-    else:  # the form before the outputs list
-        write_csv(path, "a,b,c,flag\n", "%.17g,%.17g,%.17g,%d\n", (*columns, flags))
+    write_csv((*columns, flags), [(path, "a,b,c,flag\n", range(4), "\n")])
     digest = hashlib.sha1(path.read_bytes()).hexdigest()
     path.unlink()
     return {"write_csv kernel edges": digest}
@@ -312,7 +308,7 @@ def artefacts(root, work):
     config = str(root / "data" / "demo_circuit.json")
     trace = str(root / "data" / "experiment_trace.csv")
     out = {}
-    for points in (*GRIDS, PARTS_GRID):
+    for points in (*GRIDS, *SIMULATE_GRIDS):
         grid = ("--config", config, "--grid-points", str(points))
         _cli(root, work, "simulate", *grid, "--out", f"sim{points}")
         for name in ("band.csv", "nominal.csv"):

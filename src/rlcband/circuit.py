@@ -15,9 +15,13 @@ response the component box can produce.  The band is evaluated on float64
 arrays of endpoint rows, one block of grid points at a time.
 """
 
+import contextlib
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -241,7 +245,7 @@ def default_time_grid(
     """Uniform grid over [0, t_end_mult * nominal settling time]."""
     if points < 2:
         raise ValueError("grid needs at least 2 points")
-    if t_end_mult <= 0.0:
+    if not t_end_mult > 0.0:
         raise ValueError("t_end_mult must be positive")
     t_end = t_end_mult * (4.0 / (params.xi_nominal * params.omega0_nominal))
     if not math.isfinite(t_end):
@@ -249,8 +253,11 @@ def default_time_grid(
     return np.linspace(0.0, t_end, points)
 
 
-# Grid points per array evaluation: bounds the temporaries of a long grid.
-_BAND_BLOCK = 4096
+# Grid points or table rows per array operation, in the band and in
+# write_csv: it keeps numpy's temporaries under the C allocator's 128 KB mmap
+# threshold.  Past it each temporary is mapped and faulted in afresh, and
+# twice as many values per call cost about twice as much per value.
+_BLOCK = 4096
 
 
 # The four products with t: decay.hi*t up and decay.lo*t down, whose
@@ -296,8 +303,8 @@ def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:
     # The Dekker split of a grid time near 1e300 overflows; mul_array already
     # treats the NaN error term it leaves as unreliable, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, grid.size, _BAND_BLOCK):
-            block = slice(start, start + _BAND_BLOCK)
+        for start in range(0, grid.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
             lower[block], upper[block] = _band_block(params.decay, params.omegad, damp, grid[block])
     nominal = step_response_curve(
         params.xi_nominal, params.omega0_nominal, params.omegad_nominal, grid
@@ -305,26 +312,8 @@ def step_response_band(params: SecondOrderParams, grid) -> ResponseBand:
     return ResponseBand(t=grid, lower=lower, nominal=nominal, upper=upper)
 
 
-# Rows per formatting operation: bounds the buffers of a long table.  Each
-# column of a block is one kernel call.  Twice as many values per call cost
-# about twice as much per value: the temporaries then pass the C allocator's
-# 128 KB mmap threshold, and each is mapped and faulted in afresh.
-_CSV_BLOCK = 4096
-# Fewest values (rows times columns) in a part of write_csv.  Set when %
-# cost about 0.33 us per value.  Re-measured with the text kernel (2-core VM,
-# Python 3.11, numpy 2.4, a slow host spell): fork, exit and wait alone take
-# about 4.7 ms from a 50 MB process, a second part about 10 ms in all, and the
-# kernel 0.4-0.8 us per value there, so two parts break even between 20 000
-# and 40 000 values in all.  Between 12 288 and that, a second part loses up
-# to about 1 ms.  Raising the threshold moves where tables split, which the
-# tests' row counts are derived from, so it is left to its own change.
-_PART_MIN_VALUES = 6144
-
-
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on."""
-    import os
-
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -509,7 +498,7 @@ def _write_rows(outs, columns, start: int, stop: int) -> None:
     Each block of rows is formatted once, one kernel call per column, into
     buffers reused for every block; each file gets the non-NUL bytes of its
     columns' fields, copied to rows."""
-    rows = min(_CSV_BLOCK, stop - start)
+    rows = min(_BLOCK, stop - start)
     words = np.empty((len(columns), rows, _SLOT), np.uint64)
     layouts = []  # (file, indexes, row-major buffer, word 3 bits of each field's end)
     for fh, indexes, line_end in outs:
@@ -518,8 +507,8 @@ def _write_rows(outs, columns, start: int, stop: int) -> None:
         layouts.append((fh, list(indexes), np.empty((rows, len(indexes), _SLOT), np.uint64),
                         ends << 40))
     keep = np.empty(max(buf.size for _, _, buf, _ in layouts) * 8, bool)
-    for begin in range(start, stop, _CSV_BLOCK):
-        m = min(_CSV_BLOCK, stop - begin)
+    for begin in range(start, stop, _BLOCK):
+        m = min(_BLOCK, stop - begin)
         for column, out in zip(columns, words):
             _format(column[begin:begin + m], out[:m])
         for fh, indexes, buf, ends in layouts:
@@ -541,7 +530,7 @@ def write_csv(columns, outputs) -> None:
     gives.  Each value is formatted once, whichever outputs show it.
 
     The rows are split into P contiguous parts, one per usable CPU but none
-    under _PART_MIN_VALUES values; P is 1 where os.fork is missing.  Forked
+    under _BLOCK rows; P is 1 where os.fork is missing.  Forked
     children format parts 1..P-1 into anonymous binary temporary files, one
     per output, while this process formats part 0 into the outputs, then the
     parts are appended in order, so the bytes do not depend on P.  A child
@@ -549,16 +538,10 @@ def write_csv(columns, outputs) -> None:
     flushes a buffer it inherited.  A failed child raises OSError; any
     exception here kills and reaps the children first.
     """
-    # numpy has imported these already, so they cost nothing at start-up.
-    import contextlib
-    import os
-    import shutil
-    import tempfile
-
     rows = len(columns[0])
     parts = 1
     if hasattr(os, "fork"):
-        parts = max(1, min(_usable_cpus(), rows * len(columns) // _PART_MIN_VALUES))
+        parts = max(1, min(_usable_cpus(), rows // _BLOCK))
     ends = [rows * k // parts for k in range(parts + 1)]
     with contextlib.ExitStack() as files:
         outs = []

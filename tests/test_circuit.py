@@ -234,6 +234,8 @@ def test_band_grid_rejects_bad_arguments(demo_params):
         default_time_grid(demo_params, points=1)
     with pytest.raises(ValueError, match="t_end_mult must be positive"):
         default_time_grid(demo_params, t_end_mult=0.0)
+    with pytest.raises(ValueError, match="t_end_mult must be positive"):
+        default_time_grid(demo_params, t_end_mult=float("nan"))
     with pytest.raises(ValueError, match="the grid end overflows"):
         default_time_grid(demo_params, t_end_mult=np.inf)
 

@@ -28,13 +28,13 @@ from rlcband import (
     write_verdicts_csv,
 )
 from rlcband import circuit
-from rlcband.circuit import _CSV_BLOCK, _PART_MIN_VALUES, write_csv
+from rlcband.circuit import _BLOCK, write_csv
 from rlcband.cli import main
 
 from conftest import DEMO_CONFIG, make_step_trace
 
 # two full blocks and one row more
-ROWS = 2 * _CSV_BLOCK + 1
+ROWS = 2 * _BLOCK + 1
 
 
 def _reference_band_csv(band, path):
@@ -94,9 +94,10 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _forks(rows, columns, cpus):
-    """Children write_csv forks for a table of rows by columns."""
-    return max(1, min(cpus, rows * columns // _PART_MIN_VALUES)) - 1
+def _forks(rows, cpus):
+    """Children write_csv forks for a table of rows: a part per whole block
+    of rows, CPUs permitting."""
+    return max(1, min(cpus, rows // _BLOCK)) - 1
 
 
 def test_simulate_outputs_match_per_row_writers(tmp_path):
@@ -131,9 +132,9 @@ def test_verdicts_match_per_row_writer(tmp_path, demo_params, demo_band):
     assert verdicts.read_bytes() == reference.read_bytes()
 
 
-# above _CSV_BLOCK + 1 rows: 2 and 4 parts, odd rows in the second
-@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK, _CSV_BLOCK + 1, _PART_MIN_VALUES + 1,
-                                  4 * _PART_MIN_VALUES + 3])
+# one part up to 2 * _BLOCK - 1 rows, then 2 and 4 parts, odd rows in the last
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK // 2 + 1, 2 * _BLOCK + 1,
+                                  6 * _BLOCK + 3])
 def test_write_csv_special_values(tmp_path, monkeypatch, fork_count, rows):
     monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
     special = [0.0, -0.0, 5e-324, -1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1]
@@ -148,23 +149,25 @@ def test_write_csv_special_values(tmp_path, monkeypatch, fork_count, rows):
     assert path.read_bytes() == expected.encode()
     expected = "flag,x\r\n" + "".join("%d,%.17g\r\n" % (b, a) for a, b in pairs)
     assert flipped.read_bytes() == expected.encode()
-    assert fork_count["forks"] == _forks(rows, 2, 4)
+    assert fork_count["forks"] == _forks(rows, 4)
     _assert_no_children()
 
 
-def _least_rows(parts, columns):
-    """Fewest rows that write_csv splits into parts parts, CPUs permitting."""
-    return -(-parts * _PART_MIN_VALUES // columns)
+# The split rule before parts of whole blocks: a part per 6 144 values.  Its
+# crossovers stay among the sizes below, now one part across a block edge or
+# parts with odd remainders.
+_FORMER_PART_VALUES = 6144
 
 
 def _straddling_rows(*columns):
-    """Row counts on both sides of each part-count crossover, and around
-    the parts' block edges: odd remainders among them."""
+    """Row counts at and around each part-count crossover, parts * _BLOCK,
+    and on both sides of the former rule's crossovers."""
     rows = set()
     for parts in (2, 3, 4):
+        rows |= {parts * _BLOCK - 1, parts * _BLOCK, parts * _BLOCK + 1}
         for c in columns:
-            rows |= {_least_rows(parts, c) - 1, _least_rows(parts, c)}
-        rows |= {parts * _CSV_BLOCK - 1, parts * _CSV_BLOCK + 1}
+            least = -(-parts * _FORMER_PART_VALUES // c)
+            rows |= {least - 1, least}
     return sorted(rows)
 
 
@@ -183,7 +186,7 @@ def test_simulate_outputs_match_per_row_writers_in_parts(tmp_path, monkeypatch, 
         assert main(["simulate", "--config", str(config), "--out", str(out),
                      "--grid-points", str(rows)]) == 0
         # one set of parts writes both files
-        assert fork_count["forks"] - forks == _forks(rows, 4, cpus)
+        assert fork_count["forks"] - forks == _forks(rows, cpus)
         for name in ("band.csv", "nominal.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), (cpus, name)
         assert sorted(os.listdir(out)) == ["band.csv", "nominal.csv"]
@@ -215,7 +218,7 @@ def test_verdicts_match_per_row_writer_in_parts(tmp_path, monkeypatch, fork_coun
         out.mkdir()
         forks = fork_count["forks"]
         write_verdicts_csv(report, out / "verdicts.csv")
-        assert fork_count["forks"] - forks == _forks(rows, 5, cpus)
+        assert fork_count["forks"] - forks == _forks(rows, cpus)
         assert (out / "verdicts.csv").read_bytes() == reference.read_bytes(), cpus
         assert os.listdir(out) == ["verdicts.csv"]
         _assert_no_children()
@@ -225,7 +228,7 @@ def _no_fork():
     pytest.fail("write_csv forked")
 
 
-@pytest.mark.parametrize("cpus, rows", [(1, 4 * _PART_MIN_VALUES), (4, 2 * _PART_MIN_VALUES - 1)])
+@pytest.mark.parametrize("cpus, rows", [(1, 6 * _BLOCK), (4, 2 * _BLOCK - 1)])
 def test_one_part_does_not_fork(tmp_path, monkeypatch, cpus, rows):
     monkeypatch.setattr(circuit, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", _no_fork)
@@ -234,10 +237,24 @@ def test_one_part_does_not_fork(tmp_path, monkeypatch, cpus, rows):
     assert (tmp_path / "x.csv").read_text() == "x\n" + "".join(f"{a:.17g}\n" for a in x)
 
 
+@pytest.mark.parametrize("columns, rows", [(1, 2 * _BLOCK - 1), (1, 2 * _BLOCK),
+                                           (5, 2 * _BLOCK - 1), (5, 2 * _BLOCK)],
+                         ids=["1-column-2-blocks-1", "1-column-2-blocks",
+                              "5-columns-2-blocks-1", "5-columns-2-blocks"])
+def test_parts_are_whole_blocks(tmp_path, monkeypatch, fork_count, columns, rows):
+    # on 2 CPUs the second part starts with 2 * _BLOCK rows, however wide the table
+    monkeypatch.setattr(circuit, "_usable_cpus", lambda: 2)
+    x = np.arange(rows) / 7.0
+    write_csv((x,) * columns, [(tmp_path / "x.csv", "x\n", range(columns), "\n")])
+    assert fork_count["forks"] == (rows == 2 * _BLOCK)
+    assert (tmp_path / "x.csv").read_bytes() == b"x\n" + _percent_bytes("\n", *(x,) * columns)
+    _assert_no_children()
+
+
 def test_without_fork_writes_one_part(tmp_path, monkeypatch):
     monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
     monkeypatch.delattr(os, "fork")
-    x = np.arange(4 * _PART_MIN_VALUES) / 7.0
+    x = np.arange(4 * _BLOCK) / 7.0
     write_csv((x,), [(tmp_path / "x.csv", "x\n", (0,), "\n")])
     assert (tmp_path / "x.csv").read_text() == "x\n" + "".join(f"{a:.17g}\n" for a in x)
 
@@ -257,7 +274,7 @@ def _failing_in_parts(monkeypatch, fail_start):
 
 def test_failing_child_raises_oserror(tmp_path, monkeypatch):
     _failing_in_parts(monkeypatch, lambda start: start > 0)
-    x = np.arange(4 * _PART_MIN_VALUES) / 7.0
+    x = np.arange(4 * _BLOCK) / 7.0
     with pytest.raises(OSError, match="child exited with status 1"):
         write_csv((x,), [(tmp_path / "x.csv", "x\n", (0,), "\n")])
     _assert_no_children()
@@ -269,7 +286,7 @@ def test_failing_child_exits_cli_with_one_line(tmp_path, monkeypatch, capsys):
     config = tmp_path / "circuit.json"
     config.write_text(json.dumps(DEMO_CONFIG))
     rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out"),
-               "--grid-points", str(4 * _PART_MIN_VALUES)])
+               "--grid-points", str(4 * _BLOCK)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -287,7 +304,7 @@ def test_parent_raise_kills_children(tmp_path, monkeypatch):
 
     monkeypatch.setattr(circuit, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(circuit, "_write_rows", slow_children)
-    x = np.arange(4 * _PART_MIN_VALUES) / 7.0
+    x = np.arange(4 * _BLOCK) / 7.0
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         write_csv((x,), [(tmp_path / "x.csv", "x\n", (0,), "\n")])
